@@ -1,22 +1,23 @@
 """Optimal alignments and conformance bounds for uncertain traces.
 
-The search runs over the reachable markings of the product of the trace-side
-net (event net or behavior net) and the model. Both sides are first compiled
-to reachability graphs; model-move shortest paths are precomputed as a
-min-plus closure so that consuming one trace symbol is a vectorized relax
-step. This is a uniform-cost search in disguise: no heuristic, exact costs.
+The search runs over the product of an acyclic trace side and the model's
+reachable markings. The trace side is the behavior net's reachability graph
+for the lower bound and a plain chain for one realization or certain trace.
+Model-move shortest paths are precomputed as a min-plus closure, so that
+consuming one trace symbol is a vectorized relax step. One forward DP in
+topological order of the trace side fills the cost tables and one backward
+walk over them builds the witness. This is a uniform-cost search in disguise:
+no heuristic, exact costs.
 
 The upper bound is computed the honest way, by enumerating realizations and
-aligning each one (with a bounded memoization cache); the lower bound goes
-through the behavior net and needs a single search.
+aligning each one; the lower bound goes through the behavior net and needs a
+single search.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 import threading
-from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -25,7 +26,7 @@ import numpy as np
 from .behavior import behavior_net
 from .errors import CapExceeded, ValidationError
 from .events import EnumerationCaps, UncertainLog, UncertainTrace, iter_realizations
-from .petri import Marking, SystemNet, _fire_unchecked, event_net
+from .petri import Marking, SystemNet, _fire_unchecked
 
 #: Markings explored per net before giving up (guards unbounded nets).
 STATE_CAP = 200_000
@@ -149,7 +150,6 @@ class ReachabilityGraph:
         self.final: int | None = index.get(sn.final_marking)
         self.topo_order = self._topological_order()
         self._sync: dict[str, tuple[np.ndarray, np.ndarray, tuple[str, ...]]] | None = None
-        self._in_edges: list[list[tuple[int, str, str | None]]] | None = None
         self._closures: dict[CostFunction, "_Closure"] = {}
 
     def _topological_order(self) -> list[int] | None:
@@ -186,14 +186,13 @@ class ReachabilityGraph:
             }
         return self._sync
 
-    def in_edges(self) -> list[list[tuple[int, str, str | None]]]:
-        if self._in_edges is None:
-            rev: list[list[tuple[int, str, str | None]]] = [[] for _ in range(self.n)]
-            for src, out in enumerate(self.edges):
-                for tid, label, dst in out:
-                    rev[dst].append((src, tid, label))
-            self._in_edges = rev
-        return self._in_edges
+    def in_edges(self) -> list[list[tuple[int, str | None]]]:
+        """Per node: (source node, label) of each incoming edge."""
+        rev: list[list[tuple[int, str | None]]] = [[] for _ in range(self.n)]
+        for src, out in enumerate(self.edges):
+            for _, label, dst in out:
+                rev[dst].append((src, label))
+        return rev
 
     def closure(self, cost: CostFunction) -> "_Closure":
         if cost not in self._closures:
@@ -284,111 +283,118 @@ def prepare_model(model: SystemNet, cost: CostFunction = STANDARD_COST) -> None:
     _model_structures(model, cost)
 
 
-def _sequence_cost(seq: Sequence[str], rg: ReachabilityGraph, closure: _Closure, cost: CostFunction) -> int:
-    """Optimal alignment cost of a plain activity sequence against the model."""
-    sync = rg.sync_edges()
-    row = closure.dist[rg.initial].copy()
-    log_cost = float(cost.log_move)
-    for label in seq:
-        shifted = row + log_cost
-        pair = sync.get(label)
-        if pair is not None:
-            np.minimum.at(shifted, pair[1], row[pair[0]])
-        row = (shifted[:, None] + closure.dist).min(axis=0)
-    value = row[rg.final]
-    if not np.isfinite(value):
-        raise ValidationError("model has empty language: its final marking is unreachable")
-    return int(value)
-
-
-def _product_alignment(
-    left: ReachabilityGraph,
-    model: ReachabilityGraph,
+def _forward(
+    order: Sequence[int],
+    in_edges: Sequence[Sequence[tuple[int, str | None]]],
+    rg: ReachabilityGraph,
     closure: _Closure,
     cost: CostFunction,
-) -> tuple[int, tuple[Move, ...]]:
-    """Cheapest product run of the left net (trace side) and the model.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest product runs of an acyclic trace side and the model.
 
-    Left invisible transitions (behavior-net τ skips) cost nothing and leave
-    no move in the witness: the witness relates the chosen realization to the
-    model.
+    ``order`` lists the trace nodes topologically, the initial node first;
+    only that node has no in-edges. ``in_edges[b]`` holds (source, label)
+    pairs, where a None label is a free trace-side skip (a behavior-net τ).
+    ``pre[b, v]`` is the cheapest cost of reaching trace node b with the
+    model at v by a move that consumes b's in-edge; ``post[b, v]`` adds the
+    model moves that follow.
     """
-    if left.topo_order is None:
-        raise ValidationError("trace-side net must be acyclic")
-    if left.final is None:
-        raise ValidationError("trace-side net cannot reach its final marking")
-    sync = model.sync_edges()
+    sync = rg.sync_edges()
     dist = closure.dist
-    B, V = left.n, model.n
-    pre = np.full((B, V), np.inf)
-    post = np.full((B, V), np.inf)
-    pre[left.initial, model.initial] = 0.0
-    in_edges = left.in_edges()
     log_cost = float(cost.log_move)
-
-    order = [b for b in left.topo_order]
-    for b in order:
+    pre = np.full((len(in_edges), rg.n), np.inf)
+    post = np.empty_like(pre)
+    first = order[0]
+    pre[first, rg.initial] = 0.0
+    # The closure row is the relaxed unit row already; relaxing would cost a
+    # V x V step per alignment.
+    post[first] = dist[rg.initial]
+    for b in order[1:]:
         acc = pre[b]
-        for bsrc, _tid, label in in_edges[b]:
-            base = post[bsrc]
+        for src, label in in_edges[b]:
+            base = post[src]
             np.minimum(acc, base + (0.0 if label is None else log_cost), out=acc)
             if label is not None:
                 pair = sync.get(label)
                 if pair is not None:
                     np.minimum.at(acc, pair[1], base[pair[0]])
-        post[b] = (acc[:, None] + dist).min(axis=0)
+        np.min(acc[:, None] + dist, axis=0, out=post[b])
+    return pre, post
 
-    total = post[left.final, model.final]
-    if not np.isfinite(total):
-        raise ValidationError("no complete product run exists")
 
-    # Walk backwards, peeling one transfer (sync/log/invisible-left) plus the
-    # model-move segment that followed it, until the initial pair is reached.
-    moves_rev: list[Move] = []
+def _witness(
+    in_edges: Sequence[Sequence[tuple[int, str | None]]],
+    final: int,
+    pre: np.ndarray,
+    post: np.ndarray,
+    rg: ReachabilityGraph,
+    closure: _Closure,
+    cost: CostFunction,
+) -> Alignment:
+    """The alignment behind the tables of :func:`_forward`, ending at trace node ``final``.
+
+    Walks backwards, peeling one transfer (sync, log move or trace-side skip)
+    plus the model-move segment that followed it, until the initial node.
+    Trace-side skips cost nothing and leave no move: the witness relates the
+    chosen realization to the model.
+    """
+    dist = closure.dist
+    log_cost = float(cost.log_move)
     sync_by_label_dst: dict[tuple[str, int], list[tuple[int, str]]] = {}
-    for label, (us, vs, tids) in sync.items():
+    for label, (us, vs, tids) in rg.sync_edges().items():
         for u, v, tid in zip(us.tolist(), vs.tolist(), tids):
             sync_by_label_dst.setdefault((label, v), []).append((u, tid))
 
-    b, v = left.final, model.final
+    moves_rev: list[Move] = []
+    b, v = final, rg.final
     while True:
-        candidates = pre[b] + dist[:, v]
-        u = int(np.argmin(candidates))
-        for move in reversed(closure.expand(u, v)):
-            moves_rev.append(move)
-        if b == left.initial and u == model.initial:
+        u = int(np.argmin(pre[b] + dist[:, v]))
+        moves_rev.extend(reversed(closure.expand(u, v)))
+        if not in_edges[b]:
             break
-        value = pre[b, u]
-        found = False
-        # Tie-break order: synchronous, then invisible left, then log move.
-        for bsrc, _tid, label in in_edges[b]:
-            if label is None:
-                continue
-            for msrc, mtid in sync_by_label_dst.get((label, u), ()):
-                if post[bsrc, msrc] == value:
-                    moves_rev.append(Move(label, label, mtid))
-                    b, v = bsrc, msrc
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            for bsrc, _tid, label in in_edges[b]:
-                if label is None and post[bsrc, u] == value:
-                    b, v = bsrc, u
-                    found = True
-                    break
-        if not found:
-            for bsrc, _tid, label in in_edges[b]:
-                if label is not None and post[bsrc, u] + log_cost == value:
-                    moves_rev.append(Move(label, None, None))
-                    b, v = bsrc, u
-                    found = True
-                    break
-        if not found:
-            raise AssertionError("witness reconstruction found no producing move")
+        b, v, move = _step_back(in_edges[b], u, pre[b, u], post, sync_by_label_dst, log_cost)
+        if move is not None:
+            moves_rev.append(move)
+    return Alignment(tuple(reversed(moves_rev)), int(post[final, rg.final]))
 
-    return int(total), tuple(reversed(moves_rev))
+
+def _step_back(
+    in_edges: Sequence[tuple[int, str | None]],
+    u: int,
+    value: float,
+    post: np.ndarray,
+    sync_by_label_dst: dict[tuple[str, int], list[tuple[int, str]]],
+    log_cost: float,
+) -> tuple[int, int, Move | None]:
+    """The transfer that reached model node ``u`` at cost ``value``: (source, model source, move)."""
+    # Tie-break order: synchronous, then trace-side skip, then log move.
+    for src, label in in_edges:
+        if label is not None:
+            for msrc, mtid in sync_by_label_dst.get((label, u), ()):
+                if post[src, msrc] == value:
+                    return src, msrc, Move(label, label, mtid)
+    for src, label in in_edges:
+        if label is None and post[src, u] == value:
+            return src, u, None
+    for src, label in in_edges:
+        if label is not None and post[src, u] + log_cost == value:
+            return src, u, Move(label, None, None)
+    raise AssertionError("witness reconstruction found no producing move")
+
+
+def _chain(seq: Sequence[str]) -> list[tuple[tuple[int, str], ...]]:
+    """In-edges of a plain sequence as a trace side: node i+1 follows node i by ``seq[i]``."""
+    return [()] + [((i, label),) for i, label in enumerate(seq)]
+
+
+def _sequence_cost(
+    seq: Sequence[str], rg: ReachabilityGraph, closure: _Closure, cost: CostFunction
+) -> tuple[np.ndarray, np.ndarray]:
+    """DP tables of a plain activity sequence against the model.
+
+    The optimal alignment cost is ``post[-1, rg.final]``.
+    """
+    return _forward(range(len(seq) + 1), _chain(seq), rg, closure, cost)
 
 
 def optimal_alignment(
@@ -399,60 +405,9 @@ def optimal_alignment(
     Deterministic for fixed inputs. Raises if the model's final marking is
     unreachable. The empty trace aligns through model moves alone.
     """
-    trace = list(trace)
+    trace = tuple(trace)
     rg, closure = _model_structures(model, cost)
-    if not trace:
-        moves = tuple(closure.expand(rg.initial, rg.final))
-        total = sum(m.cost(cost) for m in moves)
-        return Alignment(moves, total)
-    left = reachability_graph(event_net(trace))
-    total, moves = _product_alignment(left, rg, closure, cost)
-    return Alignment(moves, total)
-
-
-class AlignmentCostCache:
-    """Bounded LRU of optimal alignment costs, keyed by model and realization."""
-
-    def __init__(self, maxsize: int = 100_000):
-        self.maxsize = maxsize
-        self._data: OrderedDict[tuple, int] = OrderedDict()
-        self._lock = threading.Lock()
-        self._tokens: "WeakKeyDictionary[SystemNet, int]" = WeakKeyDictionary()
-        self._counter = itertools.count()
-
-    def _token(self, model: SystemNet) -> int:
-        token = self._tokens.get(model)
-        if token is None:
-            token = next(self._counter)
-            self._tokens[model] = token
-        return token
-
-    def lookup(self, model: SystemNet, cost: CostFunction, seq: tuple[str, ...]) -> int | None:
-        key = (self._token(model), cost, seq)
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
-    def store(self, model: SystemNet, cost: CostFunction, seq: tuple[str, ...], value: int) -> None:
-        key = (self._token(model), cost, seq)
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-
-#: Process-wide cache consulted by upper_bound.
-GLOBAL_CACHE = AlignmentCostCache()
+    return _witness(_chain(trace), len(trace), *_sequence_cost(trace, rg, closure, cost), rg, closure, cost)
 
 
 def lower_bound(
@@ -465,8 +420,12 @@ def lower_bound(
     """
     rg, closure = _model_structures(model, cost)
     left = reachability_graph(behavior_net(trace))
-    total, moves = _product_alignment(left, rg, closure, cost)
-    return total, Alignment(moves, total)
+    if left.topo_order is None or left.final is None:
+        raise AssertionError("a behavior net is acyclic and reaches its final marking")
+    in_edges = left.in_edges()
+    pre, post = _forward(left.topo_order, in_edges, rg, closure, cost)
+    alignment = _witness(in_edges, left.final, pre, post, rg, closure, cost)
+    return alignment.cost, alignment
 
 
 def lower_bound_bruteforce(
@@ -477,38 +436,34 @@ def lower_bound_bruteforce(
 ) -> int:
     """Best-case cost by enumerating every realization and aligning each.
 
-    The oracle counterpart of :func:`lower_bound`; returns only the cost and
-    deliberately uses no memoization.
+    The oracle counterpart of :func:`lower_bound`; returns only the cost.
     """
     rg, closure = _model_structures(model, cost)
-    best: int | None = None
-    for seq in iter_realizations(trace, caps):
-        value = _sequence_cost(seq, rg, closure, cost)
-        if best is None or value < best:
-            best = value
-    assert best is not None  # traces are nonempty, so at least one realization exists
-    return best
+    costs = (_sequence_cost(seq, rg, closure, cost)[1][-1, rg.final] for seq in iter_realizations(trace, caps))
+    return int(min(costs))  # traces are nonempty, so at least one realization exists
 
 
-def _worst_realization(
-    seqs: Iterable[tuple[str, ...]],
-    model: SystemNet,
+def _costliest_realization(
+    trace: UncertainTrace,
     rg: ReachabilityGraph,
     closure: _Closure,
     cost: CostFunction,
-    cache: AlignmentCostCache,
-) -> tuple[int, tuple[str, ...]]:
-    worst: int | None = None
-    worst_seq: tuple[str, ...] | None = None
-    for seq in seqs:
-        value = cache.lookup(model, cost, seq)
-        if value is None:
-            value = _sequence_cost(seq, rg, closure, cost)
-            cache.store(model, cost, seq, value)
-        if worst is None or value > worst:
-            worst, worst_seq = value, seq
-    assert worst is not None and worst_seq is not None  # traces are nonempty
-    return worst, worst_seq
+    caps: EnumerationCaps | None,
+) -> tuple[int, Alignment]:
+    """Realization count and the witness of the first costliest realization.
+
+    Each realization is aligned once; the tables of the costliest one so far
+    are kept for its witness.
+    """
+    count = 0
+    worst = -np.inf
+    for seq in iter_realizations(trace, caps):
+        count += 1
+        tables = _sequence_cost(seq, rg, closure, cost)
+        value = tables[1][-1, rg.final]
+        if value > worst:
+            worst, worst_seq, worst_tables = value, seq, tables
+    return count, _witness(_chain(worst_seq), len(worst_seq), *worst_tables, rg, closure, cost)
 
 
 def upper_bound(
@@ -516,20 +471,16 @@ def upper_bound(
     model: SystemNet,
     cost: CostFunction = STANDARD_COST,
     caps: EnumerationCaps | None = None,
-    cache: AlignmentCostCache | None = None,
 ) -> tuple[int, Alignment]:
     """Worst-case conformance cost over all realizations, with a witness.
 
-    Enumerates realizations (bounded by ``caps``), consulting the memoization
-    cache per realization. The witness aligns the first realization attaining
-    the maximum, in enumeration order.
+    Enumerates realizations (bounded by ``caps``) and aligns each one. The
+    witness aligns the first realization attaining the maximum, in
+    enumeration order.
     """
-    cache = GLOBAL_CACHE if cache is None else cache
     rg, closure = _model_structures(model, cost)
-    worst, worst_seq = _worst_realization(
-        iter_realizations(trace, caps), model, rg, closure, cost, cache
-    )
-    return worst, optimal_alignment(worst_seq, model, cost)
+    _, alignment = _costliest_realization(trace, rg, closure, cost, caps)
+    return alignment.cost, alignment
 
 
 @dataclass(frozen=True)
@@ -577,14 +528,13 @@ def log_bounds(
     model: SystemNet,
     cost: CostFunction = STANDARD_COST,
     caps: EnumerationCaps | None = None,
-    cache: AlignmentCostCache | None = None,
 ) -> LogBounds:
     """Bounds for each trace; per-trace cap errors are recorded, not fatal.
 
     When only the (enumeration-bound) upper side caps, the lower bound is
-    still reported. Totals sum whatever bounds were computed.
+    still reported. Both totals sum the same traces: those whose upper bound
+    was computed. A capped row counts in neither.
     """
-    cache = GLOBAL_CACHE if cache is None else cache
     rg, closure = _model_structures(model, cost)
     reports: list[BoundsReport] = []
     total_lower = 0
@@ -594,30 +544,11 @@ def log_bounds(
         low_witness: Alignment | None = None
         try:
             low, low_witness = lower_bound(trace, model, cost)
-            realization_list = list(iter_realizations(trace, caps))
-            worst, worst_seq = _worst_realization(
-                realization_list, model, rg, closure, cost, cache
-            )
-            report = BoundsReport(
-                case_id=trace.case_id,
-                lower_cost=low,
-                upper_cost=worst,
-                lower_witness=low_witness,
-                upper_witness=optimal_alignment(worst_seq, model, cost),
-                realization_count=len(realization_list),
-            )
-            total_upper += worst
+            count, up_witness = _costliest_realization(trace, rg, closure, cost, caps)
         except CapExceeded as exc:
-            report = BoundsReport(
-                case_id=trace.case_id,
-                lower_cost=low,
-                upper_cost=None,
-                lower_witness=low_witness,
-                upper_witness=None,
-                realization_count=None,
-                error=str(exc),
-            )
-        if low is not None:
-            total_lower += low
-        reports.append(report)
+            reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
+            continue
+        reports.append(BoundsReport(trace.case_id, low, up_witness.cost, low_witness, up_witness, count))
+        total_lower += low
+        total_upper += up_witness.cost
     return LogBounds(tuple(reports), total_lower, total_upper)

@@ -31,6 +31,11 @@ class EnumerationCaps:
     max_events: int = 12
     max_realizations: int = 1_000_000
 
+    def __post_init__(self):
+        for name in ("max_events", "max_realizations"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
+
     @classmethod
     def from_env(cls) -> "EnumerationCaps":
         """Default caps, overridden by UNCERTAIN_CONFORM_CAP ("N" or "N,M")."""
@@ -39,13 +44,15 @@ class EnumerationCaps:
             return cls()
         parts = raw.split(",")
         try:
-            if len(parts) == 1:
-                return cls(max_events=int(parts[0]))
-            if len(parts) == 2:
-                return cls(max_events=int(parts[0]), max_realizations=int(parts[1]))
+            values = [int(p) for p in parts]
         except ValueError:
-            pass
-        raise ValidationError(f"{CAP_ENV_VAR} must be an integer or 'events,realizations': {raw!r}")
+            values = []
+        if len(values) not in (1, 2):
+            raise ValidationError(f"{CAP_ENV_VAR} must be an integer or 'events,realizations': {raw!r}")
+        try:
+            return cls(*values)
+        except ValidationError as exc:
+            raise ValidationError(f"{CAP_ENV_VAR}={raw!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,15 @@ def lcs_length(a, b) -> int:
     return table[m][n]
 
 
-def alignment_cost_by_language(trace, model, max_len) -> int:
-    """Independent alignment-cost oracle: cheapest insert/delete edit distance
-    against any word of the model's (bounded) language."""
+def alignment_cost_by_language(model, max_len, max_firings=10_000):
+    """Independent alignment-cost oracle: a function giving a trace's cheapest
+    insert/delete edit distance against any word of the model's (bounded)
+    language, which is computed once, here."""
     from uncertain_conform import language
 
-    words = language(model, max_len=max_len)
+    words = language(model, max_len=max_len, max_firings=max_firings)
     assert words, "oracle needs a model with nonempty language"
-    return min(len(trace) + len(w) - 2 * lcs_length(trace, w) for w in words)
+    return lambda trace: min(len(trace) + len(w) - 2 * lcs_length(trace, w) for w in words)
 
 
 def naive_xes_activity_sequences(data: bytes) -> list[list[tuple[str, str]]]:

@@ -6,8 +6,8 @@ from helpers import alignment_cost_by_language
 
 from test_events import running_example
 
+from uncertain_conform import align
 from uncertain_conform import (
-    AlignmentCostCache,
     BoundsReport,
     CapExceeded,
     CostFunction,
@@ -15,7 +15,6 @@ from uncertain_conform import (
     Marking,
     Move,
     PetriNet,
-    STANDARD_COST,
     SystemNet,
     UncertainEvent,
     UncertainLog,
@@ -112,7 +111,7 @@ class TestOptimalAlignment:
             model = random_block_net(n, f"oracle{seed}")
             labels = sorted(model.net.labels.values())
             trace = [rnd.choice(labels + ["zz"]) for _ in range(rnd.randint(0, 5))]
-            expected = alignment_cost_by_language(trace, model, max_len=n + 2)
+            expected = alignment_cost_by_language(model, max_len=n + 2)(trace)
             assert optimal_alignment(trace, model).cost == expected
 
     def test_in_language_iff_cost_zero(self):
@@ -206,31 +205,6 @@ class TestBounds:
         assert one[0] == two[0] and one[1] == two[1]
 
 
-class TestAlignmentCache:
-    def test_hits_and_lru_bound(self):
-        cache = AlignmentCostCache(maxsize=2)
-        model = event_net(["a"])
-        cache.store(model, STANDARD_COST, ("a",), 0)
-        assert cache.lookup(model, STANDARD_COST, ("a",)) == 0
-        cache.store(model, STANDARD_COST, ("b",), 2)
-        cache.store(model, STANDARD_COST, ("c",), 2)
-        assert len(cache) == 2
-        assert cache.lookup(model, STANDARD_COST, ("a",)) is None
-
-    def test_distinct_models_do_not_collide(self):
-        cache = AlignmentCostCache()
-        m1, m2 = event_net(["a"]), event_net(["b"])
-        cache.store(m1, STANDARD_COST, ("a",), 0)
-        assert cache.lookup(m2, STANDARD_COST, ("a",)) is None
-
-    def test_upper_bound_populates_cache(self):
-        cache = AlignmentCostCache()
-        trace = running_example()
-        model = event_net(["Adm"])
-        upper_bound(trace, model, cache=cache)
-        assert len(cache) == len(realizations(trace))
-
-
 class TestLogBounds:
     def test_empty_log_totals(self):
         result = log_bounds(UncertainLog(()), event_net(["a"]))
@@ -257,9 +231,26 @@ class TestLogBounds:
         assert by_case["big"].lower_cost is not None  # behavior net needs no enumeration
         assert by_case["small"].error is None
 
+    def test_totals_sum_the_same_traces(self):
+        explosive = UncertainTrace(
+            "big",
+            tuple(UncertainEvent(f"b{i}", frozenset({"b"}), 0, 99, False) for i in range(8)),
+        )
+        small = UncertainTrace("small", (certain_event("s", "b", 1),))
+        log = UncertainLog((explosive, small))
+        result = log_bounds(log, event_net(["a"]), caps=EnumerationCaps(max_realizations=5))
+        by_case = {r.case_id: r for r in result.reports}
+        assert by_case["big"].error is not None and by_case["big"].lower_cost == 9
+        assert by_case["small"].lower_cost == by_case["small"].upper_cost == 2
+        assert (result.total_lower, result.total_upper) == (2, 2)
+
     def test_report_invariant(self):
         with pytest.raises(ValidationError):
             BoundsReport("c", 3, 1, None, None, None)
+
+
+#: Enough language firings for every model of TestBruteForceAgreement.
+LANGUAGE_FIRINGS = 2_500_000
 
 
 class TestBruteForceAgreement:
@@ -279,4 +270,33 @@ class TestBruteForceAgreement:
             low, _ = lower_bound(trace, model)
             assert low == lower_bound_bruteforce(trace, model)
             up, _ = upper_bound(trace, model)
-            assert low <= up
+            # Block nets fire each visible transition at most once, so words
+            # up to that length are the whole language.
+            oracle = alignment_cost_by_language(model, len(model.net.labels), LANGUAGE_FIRINGS)
+            costs = [oracle(seq) for seq in realizations(trace)]
+            assert (low, up) == (min(costs), max(costs))
+
+
+class TestBenchmarkHooks:
+    """The benchmark's tracer (bench/child.py) counts and times the layers by
+    replacing module attributes of ``align`` at run time."""
+
+    def test_log_bounds_aligns_each_realization_through_sequence_cost(self, monkeypatch):
+        calls = []
+        real = align._sequence_cost
+        monkeypatch.setattr(align, "_sequence_cost", lambda *args: calls.append(args) or real(*args))
+        log = UncertainLog((running_example(), UncertainTrace("c", (certain_event("s", "Adm", 1),))))
+        result = log_bounds(log, event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"]))
+        assert len(calls) == sum(r.realization_count for r in result.reports) == 11
+
+    def test_lower_bound_builds_nets_through_the_module(self, monkeypatch):
+        built, explored = [], []
+        real_net, real_graph = align.behavior_net, align.reachability_graph
+        monkeypatch.setattr(align, "behavior_net", lambda *args: built.append(real_net(*args)) or built[-1])
+        monkeypatch.setattr(align, "reachability_graph", lambda sn, *args: explored.append(sn) or real_graph(sn, *args))
+        lower_bound(running_example(), event_net(["Adm"]))
+        assert len(built) == 1 and built[0] in explored
+
+    def test_traced_functions_are_module_attributes(self):
+        for name in ("optimal_alignment", "prepare_model", "iter_realizations"):
+            assert callable(getattr(align, name))

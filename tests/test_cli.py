@@ -67,6 +67,14 @@ class TestBounds:
         assert by_case["table7"]["realization_count"] == "capped"
         assert by_case["table7"]["upper_cost"] == "capped"
 
+    def test_cap_below_one_exits_1(self, capsys, monkeypatch):
+        for raw in ("-1", "12,0"):
+            monkeypatch.setenv(CAP_ENV_VAR, raw)
+            code = main(["bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(DATA_DIR / "icu_net.json")])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert CAP_ENV_VAR in captured.err
+
     def test_empty_log(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"schema_version": "1.0", "traces": []}))

@@ -159,6 +159,21 @@ class TestCaps:
         with pytest.raises(ValidationError):
             EnumerationCaps.from_env()
 
+    @pytest.mark.parametrize("field", ["max_events", "max_realizations"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_cap_below_one_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            EnumerationCaps(**{field: value})
+
+    def test_cap_of_one_accepted(self):
+        assert EnumerationCaps(max_events=1, max_realizations=1).max_realizations == 1
+
+    @pytest.mark.parametrize("raw", ["-1", "0", "12,0", "12,-5"])
+    def test_env_var_below_one_names_variable(self, monkeypatch, raw):
+        monkeypatch.setenv(CAP_ENV_VAR, raw)
+        with pytest.raises(ValidationError, match=CAP_ENV_VAR):
+            EnumerationCaps.from_env()
+
 
 class TestCertainView:
     def test_certain_trace(self):

@@ -1,5 +1,6 @@
 """Serialization: timestamps, JSON/XES logs, JSON nets."""
 import json
+import re
 
 import pytest
 from helpers import DATA_DIR, naive_xes_activity_sequences, uncertain_traces
@@ -95,6 +96,16 @@ class TestJsonLog:
         with pytest.raises(ValidationError, match="inv"):
             load_log(json.dumps(doc).encode(), "json")
 
+    @pytest.mark.parametrize("label", ["tau", "τ", ">>"])
+    def test_reserved_label_names_event(self, label):
+        doc = {"traces": [{"case_id": "c", "events": [
+            {"id": "ok", "activities": ["a"], "t_min": "1970-01-01T00:00:00Z", "t_max": "1970-01-01T00:00:00Z"},
+            {"id": "res", "activities": ["a", label], "t_min": "1970-01-01T00:00:00Z",
+             "t_max": "1970-01-01T00:00:00Z"},
+        ]}]}
+        with pytest.raises(ValidationError, match=f"'res'.*{re.escape(repr(label))}"):
+            load_log(json.dumps(doc).encode(), "json")
+
     def test_malformed_json(self):
         with pytest.raises(ValidationError, match="malformed"):
             load_log(b"{not json", "json")
@@ -162,6 +173,15 @@ class TestXesLog:
         data = b"""<log><trace><event><date key="time:timestamp" value="2020-01-01T00:00:00Z"/></event></trace></log>"""
         with pytest.raises(ValidationError, match="no activity"):
             load_log(data, "xes")
+
+    @pytest.mark.parametrize("label", ["tau", "τ", ">>"])
+    def test_reserved_label_names_event(self, label):
+        trace = UncertainTrace("c", (
+            certain_event("ok", "a", 0),
+            UncertainEvent("res", frozenset({"a", label}), 1, 1),
+        ))
+        with pytest.raises(ValidationError, match=f"'res'.*{re.escape(repr(label))}"):
+            load_log(save_log(UncertainLog((trace,)), "xes"), "xes")
 
     def test_malformed_xml(self):
         with pytest.raises(ValidationError, match="malformed"):
