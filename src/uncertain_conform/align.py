@@ -3,20 +3,33 @@
 The search runs over the product of an acyclic trace side and the model's
 reachable markings. The trace side is the behavior net's reachability graph
 for the lower bound and a plain chain for one realization or certain trace.
-Model-move shortest paths are precomputed as a min-plus closure, so that
-consuming one trace symbol is a vectorized relax step. One forward DP in
-topological order of the trace side fills the cost tables and one backward
-walk over them builds the witness. This is a uniform-cost search in disguise:
-no heuristic, exact costs.
+One forward DP in topological order of the trace side fills two tables of
+trace node x model state: ``pre`` after the move that consumed the node's
+in-edge, ``post`` after the model moves that follow. This is a uniform-cost
+search in disguise: no heuristic, exact costs.
 
-The upper bound is computed the honest way, by enumerating realizations and
-aligning each one; the lower bound goes through the behavior net and needs a
-single search.
+Model moves are relaxed over the model graph's own edges, filed under the
+longest-path level of their target: one ``np.minimum.at`` per level, in
+level order, closes a row in one sweep. A cyclic graph takes its levels from
+one pass in BFS order and is swept until nothing changes. A row made of
+closed rows by log moves and trace-side skips is closed; a synchronous
+landing opens it only past its target, so a relax starts at the level after
+the shallowest synchronous target just reached, if any.
+
+The witness walks the tables backwards. Each model-move segment is a
+breadth-first walk back over tight in-edges (``post[u] + cost == post[x]``)
+to the nearest state with ``pre == post``, ties going to the in-edge listed
+first (source state, then transition id); the transfer before it is a
+synchronous move, else a trace-side skip, else a log move.
+
+The upper bound lists realizations and aligns each one; the lower bound is
+one search over the behavior net. Memory is linear in the model's edges plus
+the two tables, which :data:`PRODUCT_CAP` bounds.
 """
 from __future__ import annotations
 
-import heapq
 import threading
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
@@ -30,6 +43,8 @@ from .petri import Marking, SystemNet, _fire_unchecked
 
 #: Markings explored per net before giving up (guards unbounded nets).
 STATE_CAP = 200_000
+#: Cells (trace-side states x model states) of one alignment's two float64 tables.
+PRODUCT_CAP = 30_000_000
 
 NO_MOVE = ">>"
 TAU_MARKER = "tau"
@@ -141,7 +156,6 @@ class ReachabilityGraph:
             edges.append(out)
             frontier += 1
 
-        self.sn = sn
         self.nodes = nodes
         self.index = index
         self.edges = edges
@@ -149,8 +163,6 @@ class ReachabilityGraph:
         self.initial = 0
         self.final: int | None = index.get(sn.final_marking)
         self.topo_order = self._topological_order()
-        self._sync: dict[str, tuple[np.ndarray, np.ndarray, tuple[str, ...]]] | None = None
-        self._closures: dict[CostFunction, "_Closure"] = {}
 
     def _topological_order(self) -> list[int] | None:
         indeg = [0] * self.n
@@ -168,114 +180,112 @@ class ReachabilityGraph:
                     ready.append(dst)
         return order if len(order) == self.n else None
 
-    def sync_edges(self) -> dict[str, tuple[np.ndarray, np.ndarray, tuple[str, ...]]]:
-        """Per visible label: (source nodes, target nodes, transition ids)."""
-        if self._sync is None:
-            raw: dict[str, list[tuple[int, int, str]]] = {}
-            for src, out in enumerate(self.edges):
-                for tid, label, dst in out:
-                    if label is not None:
-                        raw.setdefault(label, []).append((src, dst, tid))
-            self._sync = {
-                label: (
-                    np.array([s for s, _, _ in triples], dtype=np.intp),
-                    np.array([d for _, d, _ in triples], dtype=np.intp),
-                    tuple(t for _, _, t in triples),
-                )
-                for label, triples in raw.items()
-            }
-        return self._sync
-
-    def in_edges(self) -> list[list[tuple[int, str | None]]]:
-        """Per node: (source node, label) of each incoming edge."""
-        rev: list[list[tuple[int, str | None]]] = [[] for _ in range(self.n)]
+    def in_edges(self) -> list[list[tuple[int, str | None, str]]]:
+        """Per node: (source node, label, transition id) of each incoming edge."""
+        rev: list[list[tuple[int, str | None, str]]] = [[] for _ in range(self.n)]
         for src, out in enumerate(self.edges):
-            for _, label, dst in out:
-                rev[dst].append((src, label))
+            for tid, label, dst in out:
+                rev[dst].append((src, label, tid))
         return rev
 
-    def closure(self, cost: CostFunction) -> "_Closure":
-        if cost not in self._closures:
-            self._closures[cost] = _Closure(self, cost)
-        return self._closures[cost]
 
+class _ModelMoves:
+    """The model moves of a reachability graph under one cost function, built
+    once per (model, cost) and read-only afterwards.
 
-class _Closure:
-    """All-pairs cheapest model-move paths over a reachability graph."""
+    ``levels[k]`` holds (sources, targets, weights) of the edges into level
+    k; ``sync[label]`` holds (sources, targets, start level) of its edges.
+    """
 
     def __init__(self, rg: ReachabilityGraph, cost: CostFunction):
         self.rg = rg
-        self.cost = cost
-        n = rg.n
-        dist = np.full((n, n), np.inf)
-        dist[np.arange(n), np.arange(n)] = 0.0
-        if rg.topo_order is not None:
-            for u in reversed(rg.topo_order):
-                row = dist[u]
-                for _, label, dst in rg.edges[u]:
-                    c = 0.0 if label is None else float(cost.model_move)
-                    np.minimum(row, c + dist[dst], out=row)
+        self.model_cost = float(cost.model_move)
+        self.cyclic = rg.topo_order is None
+        # The longest-path level on an acyclic graph; one pass in BFS order on a cyclic one.
+        level = [0] * rg.n
+        for u in rg.topo_order or range(rg.n):
+            for _, _, dst in rg.edges[u]:
+                level[dst] = max(level[dst], level[u] + 1)
+        by_level: list[list[tuple[int, int, float]]] = [[] for _ in range(max(level) + 1)]
+        by_label: dict[str, list[tuple[int, int]]] = {}
+        self.into = rg.in_edges()
+        for src, out in enumerate(rg.edges):
+            for _, label, dst in out:
+                by_level[level[dst]].append((src, dst, self.weight(label)))
+                if label is not None:
+                    by_label.setdefault(label, []).append((src, dst))
+        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for group in by_level:
+            sources, targets, weights = np.array(list(zip(*group)), dtype=float).reshape(3, -1)
+            self.levels.append((sources.astype(np.intp), targets.astype(np.intp), weights))
+        self.sync: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
+        for label, pairs in by_label.items():
+            sources, targets = np.array(list(zip(*pairs)), dtype=np.intp)
+            self.sync[label] = (sources, targets, 0 if self.cyclic else min(level[d] for _, d in pairs) + 1)
+        self.initial_row = np.full(rg.n, np.inf)
+        self.initial_row[rg.initial] = 0.0
+        self.relax(self.initial_row)
+
+    def weight(self, label: str | None) -> float:
+        return 0.0 if label is None else self.model_cost
+
+    def relax(self, row: np.ndarray, start: int = 0) -> None:
+        """Close ``row`` under model moves in place, given that every edge into
+        a level before ``start`` is already tight (always 0 on a cyclic graph)."""
+        changed = start < len(self.levels)
+        while changed:
+            before = row.copy() if self.cyclic else None
+            for sources, targets, weights in self.levels[start:]:
+                np.minimum.at(row, targets, row[sources] + weights)
+            changed = before is not None and not np.array_equal(before, row)
+
+    def segment(self, pre: np.ndarray, post: np.ndarray, v: int) -> tuple[int, list[Move]]:
+        """A state u with ``pre[u] == post[u]`` and the moves of a cheapest path
+        u -> v: the first such state a breadth-first walk back from v over
+        tight in-edges reaches, in the order of ``into``. Each state is visited
+        once, so τ-cycles end the walk."""
+        parent: dict[int, tuple[int, Move] | None] = {v: None}
+        queue = deque([v])
+        while queue:
+            x = queue.popleft()
+            if pre[x] == post[x]:
+                break
+            for u, label, tid in self.into[x]:
+                if u not in parent and post[u] + self.weight(label) == post[x]:
+                    parent[u] = (x, Move(None, label, tid))
+                    queue.append(u)
         else:
-            for source in range(n):
-                dist[source] = self._dijkstra_row(source)
-        self.dist = dist
-
-    def _dijkstra_row(self, source: int) -> np.ndarray:
-        rg, cost = self.rg, self.cost
-        row = np.full(rg.n, np.inf)
-        row[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > row[u]:
-                continue
-            for _, label, dst in rg.edges[u]:
-                c = d + (0.0 if label is None else float(cost.model_move))
-                if c < row[dst]:
-                    row[dst] = c
-                    heapq.heappush(heap, (c, dst))
-        return row
-
-    def expand(self, u: int, v: int) -> list[Move]:
-        """Reconstruct one cheapest model-move path u -> v as explicit moves."""
-        rg, cost, dist = self.rg, self.cost, self.dist
-        moves: list[Move] = []
-        guard = 0
-        while u != v:
-            for tid, label, dst in rg.edges[u]:
-                c = 0.0 if label is None else float(cost.model_move)
-                if c + dist[dst, v] == dist[u, v]:
-                    moves.append(Move(None, label, tid))
-                    u = dst
-                    break
-            else:
-                raise AssertionError("closure path reconstruction lost its way")
-            guard += 1
-            if guard > rg.n + 1:
-                raise AssertionError("closure path longer than the state space")
-        return moves
+            raise AssertionError("witness reconstruction found no model-move path")
+        u, path = x, []
+        while (link := parent[x]) is not None:
+            x, move = link
+            path.append(move)
+        return u, path
 
 
-_rg_cache: "WeakKeyDictionary[SystemNet, ReachabilityGraph]" = WeakKeyDictionary()
-_rg_lock = threading.Lock()
+#: Per system net: its reachability graph (key None) and its model moves per cost function.
+_cache: "WeakKeyDictionary[SystemNet, dict]" = WeakKeyDictionary()
+_cache_lock = threading.Lock()
+
+
+def _cached(sn: SystemNet, key, build):
+    with _cache_lock:
+        entries = _cache.setdefault(sn, {})
+        if key not in entries:
+            entries[key] = build()
+        return entries[key]
 
 
 def reachability_graph(sn: SystemNet, state_cap: int = STATE_CAP) -> ReachabilityGraph:
     """Cached reachability graph of a system net."""
-    with _rg_lock:
-        rg = _rg_cache.get(sn)
-    if rg is None:
-        rg = ReachabilityGraph(sn, state_cap)
-        with _rg_lock:
-            _rg_cache[sn] = rg
-    return rg
+    return _cached(sn, None, lambda: ReachabilityGraph(sn, state_cap))
 
 
-def _model_structures(model: SystemNet, cost: CostFunction) -> tuple[ReachabilityGraph, _Closure]:
+def _model_structures(model: SystemNet, cost: CostFunction) -> _ModelMoves:
     rg = reachability_graph(model)
     if rg.final is None:
         raise ValidationError("model has empty language: its final marking is unreachable")
-    return rg, rg.closure(cost)
+    return _cached(model, cost, lambda: _ModelMoves(rg, cost))
 
 
 def prepare_model(model: SystemNet, cost: CostFunction = STANDARD_COST) -> None:
@@ -284,117 +294,103 @@ def prepare_model(model: SystemNet, cost: CostFunction = STANDARD_COST) -> None:
 
 
 def _forward(
-    order: Sequence[int],
-    in_edges: Sequence[Sequence[tuple[int, str | None]]],
-    rg: ReachabilityGraph,
-    closure: _Closure,
-    cost: CostFunction,
+    order: Sequence[int], in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cheapest product runs of an acyclic trace side and the model.
 
     ``order`` lists the trace nodes topologically, the initial node first;
-    only that node has no in-edges. ``in_edges[b]`` holds (source, label)
-    pairs, where a None label is a free trace-side skip (a behavior-net τ).
+    only that node has no in-edges. ``in_edges[b]`` holds (source, label, _)
+    triples, where a None label is a free trace-side skip (a behavior-net τ).
     ``pre[b, v]`` is the cheapest cost of reaching trace node b with the
     model at v by a move that consumes b's in-edge; ``post[b, v]`` adds the
     model moves that follow.
     """
-    sync = rg.sync_edges()
-    dist = closure.dist
+    rg = moves.rg
+    cells = len(in_edges) * rg.n
+    if cells > PRODUCT_CAP:
+        raise CapExceeded(
+            f"alignment needs {cells} product cells ({len(in_edges)} trace states x {rg.n} model states),"
+            f" over the product cap ({PRODUCT_CAP})"
+        )
     log_cost = float(cost.log_move)
     pre = np.full((len(in_edges), rg.n), np.inf)
     post = np.empty_like(pre)
     first = order[0]
     pre[first, rg.initial] = 0.0
-    # The closure row is the relaxed unit row already; relaxing would cost a
-    # V x V step per alignment.
-    post[first] = dist[rg.initial]
+    post[first] = moves.initial_row
     for b in order[1:]:
         acc = pre[b]
-        for src, label in in_edges[b]:
+        # Rows built from closed rows by log moves and skips stay closed; only
+        # synchronous landings open them, and only past their targets.
+        start = len(moves.levels)
+        for src, label, _ in in_edges[b]:
             base = post[src]
             np.minimum(acc, base + (0.0 if label is None else log_cost), out=acc)
-            if label is not None:
-                pair = sync.get(label)
-                if pair is not None:
-                    np.minimum.at(acc, pair[1], base[pair[0]])
-        np.min(acc[:, None] + dist, axis=0, out=post[b])
+            sync = moves.sync.get(label)
+            if sync is not None:
+                sources, targets, level = sync
+                np.minimum.at(acc, targets, base[sources])
+                start = min(start, level)
+        post[b] = acc
+        moves.relax(post[b], start)
     return pre, post
 
 
 def _witness(
-    in_edges: Sequence[Sequence[tuple[int, str | None]]],
-    final: int,
-    pre: np.ndarray,
-    post: np.ndarray,
-    rg: ReachabilityGraph,
-    closure: _Closure,
-    cost: CostFunction,
+    in_edges: Sequence[Sequence[tuple]], final: int, pre: np.ndarray, post: np.ndarray,
+    moves: _ModelMoves, cost: CostFunction,
 ) -> Alignment:
     """The alignment behind the tables of :func:`_forward`, ending at trace node ``final``.
 
-    Walks backwards, peeling one transfer (sync, log move or trace-side skip)
-    plus the model-move segment that followed it, until the initial node.
+    Walks backwards, peeling one model-move segment and then the transfer
+    (sync, log move or trace-side skip) before it, until the initial node.
     Trace-side skips cost nothing and leave no move: the witness relates the
     chosen realization to the model.
     """
-    dist = closure.dist
     log_cost = float(cost.log_move)
-    sync_by_label_dst: dict[tuple[str, int], list[tuple[int, str]]] = {}
-    for label, (us, vs, tids) in rg.sync_edges().items():
-        for u, v, tid in zip(us.tolist(), vs.tolist(), tids):
-            sync_by_label_dst.setdefault((label, v), []).append((u, tid))
-
     moves_rev: list[Move] = []
-    b, v = final, rg.final
+    b, v = final, moves.rg.final
     while True:
-        u = int(np.argmin(pre[b] + dist[:, v]))
-        moves_rev.extend(reversed(closure.expand(u, v)))
+        u, path = moves.segment(pre[b], post[b], v)
+        moves_rev.extend(reversed(path))
         if not in_edges[b]:
             break
-        b, v, move = _step_back(in_edges[b], u, pre[b, u], post, sync_by_label_dst, log_cost)
+        b, v, move = _step_back(in_edges[b], u, pre[b, u], post, moves.into[u], log_cost)
         if move is not None:
             moves_rev.append(move)
-    return Alignment(tuple(reversed(moves_rev)), int(post[final, rg.final]))
+    return Alignment(tuple(reversed(moves_rev)), int(post[final, moves.rg.final]))
 
 
 def _step_back(
-    in_edges: Sequence[tuple[int, str | None]],
-    u: int,
-    value: float,
-    post: np.ndarray,
-    sync_by_label_dst: dict[tuple[str, int], list[tuple[int, str]]],
-    log_cost: float,
+    in_edges: Sequence[tuple], u: int, value: float, post: np.ndarray, model_in_edges: Sequence[tuple], log_cost: float
 ) -> tuple[int, int, Move | None]:
     """The transfer that reached model node ``u`` at cost ``value``: (source, model source, move)."""
     # Tie-break order: synchronous, then trace-side skip, then log move.
-    for src, label in in_edges:
+    for src, label, _ in in_edges:
         if label is not None:
-            for msrc, mtid in sync_by_label_dst.get((label, u), ()):
-                if post[src, msrc] == value:
+            for msrc, mlabel, mtid in model_in_edges:
+                if mlabel == label and post[src, msrc] == value:
                     return src, msrc, Move(label, label, mtid)
-    for src, label in in_edges:
+    for src, label, _ in in_edges:
         if label is None and post[src, u] == value:
             return src, u, None
-    for src, label in in_edges:
+    for src, label, _ in in_edges:
         if label is not None and post[src, u] + log_cost == value:
             return src, u, Move(label, None, None)
     raise AssertionError("witness reconstruction found no producing move")
 
 
-def _chain(seq: Sequence[str]) -> list[tuple[tuple[int, str], ...]]:
+def _chain(seq: Sequence[str]) -> list[tuple[tuple[int, str, None], ...]]:
     """In-edges of a plain sequence as a trace side: node i+1 follows node i by ``seq[i]``."""
-    return [()] + [((i, label),) for i, label in enumerate(seq)]
+    return [()] + [((i, label, None),) for i, label in enumerate(seq)]
 
 
-def _sequence_cost(
-    seq: Sequence[str], rg: ReachabilityGraph, closure: _Closure, cost: CostFunction
-) -> tuple[np.ndarray, np.ndarray]:
+def _sequence_cost(seq: Sequence[str], moves: _ModelMoves, cost: CostFunction) -> tuple[np.ndarray, np.ndarray]:
     """DP tables of a plain activity sequence against the model.
 
-    The optimal alignment cost is ``post[-1, rg.final]``.
+    The optimal alignment cost is ``post[-1, moves.rg.final]``.
     """
-    return _forward(range(len(seq) + 1), _chain(seq), rg, closure, cost)
+    return _forward(range(len(seq) + 1), _chain(seq), moves, cost)
 
 
 def optimal_alignment(
@@ -406,8 +402,8 @@ def optimal_alignment(
     unreachable. The empty trace aligns through model moves alone.
     """
     trace = tuple(trace)
-    rg, closure = _model_structures(model, cost)
-    return _witness(_chain(trace), len(trace), *_sequence_cost(trace, rg, closure, cost), rg, closure, cost)
+    moves = _model_structures(model, cost)
+    return _witness(_chain(trace), len(trace), *_sequence_cost(trace, moves, cost), moves, cost)
 
 
 def lower_bound(
@@ -418,13 +414,13 @@ def lower_bound(
     One search over the product of the trace's behavior net and the model;
     the witness's log projection is the realization achieving the minimum.
     """
-    rg, closure = _model_structures(model, cost)
+    moves = _model_structures(model, cost)
     left = reachability_graph(behavior_net(trace))
     if left.topo_order is None or left.final is None:
         raise AssertionError("a behavior net is acyclic and reaches its final marking")
     in_edges = left.in_edges()
-    pre, post = _forward(left.topo_order, in_edges, rg, closure, cost)
-    alignment = _witness(in_edges, left.final, pre, post, rg, closure, cost)
+    pre, post = _forward(left.topo_order, in_edges, moves, cost)
+    alignment = _witness(in_edges, left.final, pre, post, moves, cost)
     return alignment.cost, alignment
 
 
@@ -438,32 +434,28 @@ def lower_bound_bruteforce(
 
     The oracle counterpart of :func:`lower_bound`; returns only the cost.
     """
-    rg, closure = _model_structures(model, cost)
-    costs = (_sequence_cost(seq, rg, closure, cost)[1][-1, rg.final] for seq in iter_realizations(trace, caps))
+    moves = _model_structures(model, cost)
+    costs = (_sequence_cost(seq, moves, cost)[1][-1, moves.rg.final] for seq in iter_realizations(trace, caps))
     return int(min(costs))  # traces are nonempty, so at least one realization exists
 
 
 def _costliest_realization(
-    trace: UncertainTrace,
-    rg: ReachabilityGraph,
-    closure: _Closure,
-    cost: CostFunction,
-    caps: EnumerationCaps | None,
+    trace: UncertainTrace, moves: _ModelMoves, cost: CostFunction, caps: EnumerationCaps | None
 ) -> tuple[int, Alignment]:
     """Realization count and the witness of the first costliest realization.
 
-    Each realization is aligned once; the tables of the costliest one so far
-    are kept for its witness.
+    The realizations are listed before any is aligned, so a trace over the
+    realization cap costs no alignment. Each realization is aligned once; the
+    tables of the costliest one so far are kept for its witness.
     """
-    count = 0
+    seqs = list(iter_realizations(trace, caps))
     worst = -np.inf
-    for seq in iter_realizations(trace, caps):
-        count += 1
-        tables = _sequence_cost(seq, rg, closure, cost)
-        value = tables[1][-1, rg.final]
+    for seq in seqs:
+        tables = _sequence_cost(seq, moves, cost)
+        value = tables[1][-1, moves.rg.final]
         if value > worst:
             worst, worst_seq, worst_tables = value, seq, tables
-    return count, _witness(_chain(worst_seq), len(worst_seq), *worst_tables, rg, closure, cost)
+    return len(seqs), _witness(_chain(worst_seq), len(worst_seq), *worst_tables, moves, cost)
 
 
 def upper_bound(
@@ -478,8 +470,7 @@ def upper_bound(
     witness aligns the first realization attaining the maximum, in
     enumeration order.
     """
-    rg, closure = _model_structures(model, cost)
-    _, alignment = _costliest_realization(trace, rg, closure, cost, caps)
+    _, alignment = _costliest_realization(trace, _model_structures(model, cost), cost, caps)
     return alignment.cost, alignment
 
 
@@ -498,7 +489,7 @@ class BoundsReport:
     def __post_init__(self):
         if self.lower_cost is not None and self.upper_cost is not None:
             if self.lower_cost > self.upper_cost:
-                raise ValidationError(
+                raise AssertionError(
                     f"case {self.case_id!r}: lower bound {self.lower_cost} exceeds upper bound {self.upper_cost}"
                 )
 
@@ -535,7 +526,7 @@ def log_bounds(
     still reported. Both totals sum the same traces: those whose upper bound
     was computed. A capped row counts in neither.
     """
-    rg, closure = _model_structures(model, cost)
+    moves = _model_structures(model, cost)
     reports: list[BoundsReport] = []
     total_lower = 0
     total_upper = 0
@@ -544,7 +535,7 @@ def log_bounds(
         low_witness: Alignment | None = None
         try:
             low, low_witness = lower_bound(trace, model, cost)
-            count, up_witness = _costliest_realization(trace, rg, closure, cost, caps)
+            count, up_witness = _costliest_realization(trace, moves, cost, caps)
         except CapExceeded as exc:
             reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
             continue

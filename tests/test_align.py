@@ -1,5 +1,6 @@
 """Alignments and conformance bounds."""
 import random
+import tracemalloc
 
 import pytest
 from helpers import alignment_cost_by_language
@@ -15,6 +16,7 @@ from uncertain_conform import (
     Marking,
     Move,
     PetriNet,
+    STANDARD_COST,
     SystemNet,
     UncertainEvent,
     UncertainLog,
@@ -22,11 +24,13 @@ from uncertain_conform import (
     ValidationError,
     certain_event,
     event_net,
+    fire,
     language,
     log_bounds,
     lower_bound,
     lower_bound_bruteforce,
     optimal_alignment,
+    prepare_model,
     random_block_net,
     realizations,
     upper_bound,
@@ -84,8 +88,6 @@ class TestOptimalAlignment:
         trace = [rnd.choice(labels) for _ in range(4)]
         alignment = optimal_alignment(trace, model)
         marking = model.initial_marking
-        from uncertain_conform import fire
-
         for tid in alignment.model_projection():
             marking = fire(model.net, marking, tid)
         assert marking == model.final_marking
@@ -245,8 +247,114 @@ class TestLogBounds:
         assert (result.total_lower, result.total_upper) == (2, 2)
 
     def test_report_invariant(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(AssertionError, match="exceeds upper bound"):
             BoundsReport("c", 3, 1, None, None, None)
+
+    def test_realization_cap_fires_before_any_alignment(self, monkeypatch):
+        model = random_block_net(8, "cap")
+        labels = frozenset(sorted(model.net.labels.values())[:3])
+        trace = UncertainTrace("c", tuple(UncertainEvent(f"e{i}", labels, i, i) for i in range(9)))  # 3^9 realizations
+        calls = []
+        real = align._sequence_cost
+        monkeypatch.setattr(align, "_sequence_cost", lambda *args: calls.append(args) or real(*args))
+        result = log_bounds(UncertainLog((trace,)), model, caps=EnumerationCaps(max_realizations=5000))
+        assert "realization cap" in result.reports[0].error
+        assert calls == []
+
+
+class TestProductCap:
+    def test_cap_checked_before_the_tables_are_allocated(self, monkeypatch):
+        monkeypatch.setattr(align, "PRODUCT_CAP", 8)
+        with pytest.raises(CapExceeded, match=r"9 product cells \(3 trace states x 3 model states\).*product cap \(8\)"):
+            optimal_alignment(["a", "b"], event_net(["a", "b"]))
+        monkeypatch.setattr(align, "PRODUCT_CAP", 9)
+        assert optimal_alignment(["a", "b"], event_net(["a", "b"])).cost == 0
+
+    def test_log_bounds_marks_the_row_capped(self, monkeypatch):
+        monkeypatch.setattr(align, "PRODUCT_CAP", 8)
+        result = log_bounds(UncertainLog((running_example(),)), event_net(["a", "b"]))
+        report = result.reports[0]
+        assert report.lower_cost is None and report.upper_cost is None
+        assert "product cap (8)" in report.error
+        assert (result.total_lower, result.total_upper) == (0, 0)
+
+
+def _cyclic_net(arcs, labels) -> SystemNet:
+    places = sorted({node for arc in arcs for node in arc if node.startswith("p")})
+    transitions = sorted({node for arc in arcs for node in arc if not node.startswith("p")})
+    return SystemNet(PetriNet(places, transitions, arcs, labels), Marking(["p0"]), Marking(["p2"]))
+
+
+#: Models whose reachability graphs have cycles. ``a_loop`` sorts before ``b``.
+CYCLIC_MODELS = {
+    "tau_self_loop": (
+        [("p0", "a"), ("a", "p1"), ("p1", "a_loop"), ("a_loop", "p1"), ("p1", "b"), ("b", "p2")],
+        {"a": "a", "b": "b"},
+    ),
+    "visible_loop": (
+        [("p0", "a"), ("a", "p1"), ("p1", "c"), ("c", "p0"), ("p1", "b"), ("b", "p2")],
+        {"a": "a", "b": "b", "c": "c"},
+    ),
+    "tau_cycle": (
+        [("p0", "a"), ("a", "p1"), ("p1", "t1"), ("t1", "p3"), ("p3", "t2"), ("t2", "p1"),
+         ("p1", "b"), ("b", "p2"), ("p3", "c"), ("c", "p2")],
+        {"a": "a", "b": "b", "c": "c"},
+    ),
+}
+
+
+def assert_valid_witness(model, trace, bound, witness):
+    """The witness replays on the model, relates a realization and costs the bound."""
+    assert witness.cost == bound == sum(m.cost(STANDARD_COST) for m in witness.moves)
+    assert witness.log_projection() in realizations(trace)
+    marking = model.initial_marking
+    for tid in witness.model_projection():
+        marking = fire(model.net, marking, tid)
+    assert marking == model.final_marking
+
+
+class TestCyclicModels:
+    @pytest.mark.parametrize("name", sorted(CYCLIC_MODELS))
+    def test_bounds_match_language_oracle(self, name):
+        model = _cyclic_net(*CYCLIC_MODELS[name])
+        assert align.reachability_graph(model).topo_order is None
+        shortest = min(len(word) for word in language(model, 4))
+        rnd = random.Random(name)
+        traces = [UncertainTrace("a", (certain_event("e0", "a", 0),))]
+        for k in range(8):
+            events = []
+            for i in range(rnd.randint(1, 4)):
+                lo = rnd.randint(0, 6)
+                acts = frozenset(rnd.sample(["a", "b", "c", "x"], rnd.randint(1, 2)))
+                events.append(UncertainEvent(f"e{i}", acts, lo, lo + rnd.randint(0, 3), rnd.random() < 0.3))
+            traces.append(UncertainTrace(f"c{k}", tuple(events)))
+        for trace in traces:
+            # A word w costs at least |w| - len(trace) and the shortest word at
+            # most len(trace) + |shortest|, so no optimal word is longer.
+            oracle = alignment_cost_by_language(model, 2 * len(trace) + shortest, LANGUAGE_FIRINGS)
+            costs = [oracle(seq) for seq in realizations(trace)]
+            (low, low_witness), (up, up_witness) = lower_bound(trace, model), upper_bound(trace, model)
+            assert (low, up) == (min(costs), max(costs))
+            assert_valid_witness(model, trace, low, low_witness)
+            assert_valid_witness(model, trace, up, up_witness)
+
+
+class TestMemory:
+    def test_model_structures_stay_far_below_a_dense_state_matrix(self):
+        model = random_block_net(30, "probe|30|2")
+        labels = sorted(model.net.labels.values())
+        trace = UncertainTrace("c", tuple(certain_event(f"e{i}", labels[i], i) for i in range(4)))
+        tracemalloc.start()
+        try:
+            prepare_model(model)
+            lower_bound(trace, model)
+            upper_bound(trace, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        states = align.reachability_graph(model).n
+        assert states == 5182
+        assert peak < states * states * 8 / 4
 
 
 #: Enough language firings for every model of TestBruteForceAgreement.
@@ -296,6 +404,17 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(align, "reachability_graph", lambda sn, *args: explored.append(sn) or real_graph(sn, *args))
         lower_bound(running_example(), event_net(["Adm"]))
         assert len(built) == 1 and built[0] in explored
+
+    def test_prepare_model_builds_every_model_structure(self, monkeypatch):
+        model = event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"])
+        prepare_model(model)
+        graphs, moves = [], []
+        real_graph, real_moves = align.ReachabilityGraph, align._ModelMoves
+        monkeypatch.setattr(align, "ReachabilityGraph", lambda sn, *args: graphs.append(sn) or real_graph(sn, *args))
+        monkeypatch.setattr(align, "_ModelMoves", lambda *args: moves.append(args) or real_moves(*args))
+        log_bounds(UncertainLog((running_example(),)), model)
+        assert graphs and all(sn is not model for sn in graphs)  # only the behavior net's graph
+        assert moves == []
 
     def test_traced_functions_are_module_attributes(self):
         for name in ("optimal_alignment", "prepare_model", "iter_realizations"):

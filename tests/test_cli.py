@@ -5,6 +5,7 @@ import json
 
 from helpers import DATA_DIR
 
+from uncertain_conform import align
 from uncertain_conform.cli import main
 from uncertain_conform.events import CAP_ENV_VAR
 
@@ -83,6 +84,35 @@ class TestBounds:
         )
         assert code == 0
         assert rows == [{"case_id": "total", "lower_cost": "0", "upper_cost": "0", "realization_count": ""}]
+
+    def test_tau_cycle_model(self, tmp_path, capsys):
+        # The τ self-loop a_loop sorts before b, so a walk that follows the
+        # first free move from p1 never leaves it.
+        net = {
+            "places": ["p0", "p1", "p2"],
+            "transitions": [{"id": "a", "label": "a"}, {"id": "a_loop", "label": None}, {"id": "b", "label": "b"}],
+            "arcs": [["p0", "a"], ["a", "p1"], ["p1", "a_loop"], ["a_loop", "p1"], ["p1", "b"], ["b", "p2"]],
+            "initial_marking": {"p0": 1},
+            "final_marking": {"p2": 1},
+        }
+        event = {"id": "e1", "activities": ["a"], "t_min": "2020-01-01T00:00:00Z",
+                 "t_max": "2020-01-01T00:00:00Z", "indeterminate": False}
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        (tmp_path / "log.json").write_text(json.dumps(
+            {"schema_version": "1.0", "traces": [{"case_id": "1", "events": [event]}]}
+        ))
+        code = main(["bounds", "--log", str(tmp_path / "log.json"), "--net", str(tmp_path / "net.json")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1,1,1,1"
+
+    def test_product_cap_marks_rows_and_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(align, "PRODUCT_CAP", 10)
+        code, rows = run_cli(
+            capsys, "bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(DATA_DIR / "icu_net.json")
+        )
+        assert code == 2
+        by_case = {r["case_id"]: r for r in rows}
+        assert by_case["table6"]["upper_cost"] == by_case["table7"]["upper_cost"] == "capped"
 
 
 class TestGen:
