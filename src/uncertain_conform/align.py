@@ -131,7 +131,7 @@ class Alignment:
 class ReachabilityGraph:
     """Explicit reachable-marking graph of a system net (BFS order, deterministic)."""
 
-    def __init__(self, sn: SystemNet, state_cap: int = STATE_CAP):
+    def __init__(self, sn: SystemNet):
         net = sn.net
         nodes: list[Marking] = [sn.initial_marking]
         index: dict[Marking, int] = {sn.initial_marking: 0}
@@ -148,8 +148,8 @@ class ReachabilityGraph:
                     continue
                 nxt = _fire_unchecked(net, marking, t)
                 if nxt not in index:
-                    if len(nodes) >= state_cap:
-                        raise CapExceeded(f"reachability exploration exceeded the state cap ({state_cap})")
+                    if len(nodes) >= STATE_CAP:
+                        raise CapExceeded(f"reachability exploration exceeded the state cap ({STATE_CAP})")
                     index[nxt] = len(nodes)
                     nodes.append(nxt)
                 out.append((t, net.label(t), index[nxt]))
@@ -276,9 +276,9 @@ def _cached(sn: SystemNet, key, build):
         return entries[key]
 
 
-def reachability_graph(sn: SystemNet, state_cap: int = STATE_CAP) -> ReachabilityGraph:
+def reachability_graph(sn: SystemNet) -> ReachabilityGraph:
     """Cached reachability graph of a system net."""
-    return _cached(sn, None, lambda: ReachabilityGraph(sn, state_cap))
+    return _cached(sn, None, lambda: ReachabilityGraph(sn))
 
 
 def _model_structures(model: SystemNet, cost: CostFunction) -> _ModelMoves:
@@ -442,7 +442,8 @@ def lower_bound_bruteforce(
 def _costliest_realization(
     trace: UncertainTrace, moves: _ModelMoves, cost: CostFunction, caps: EnumerationCaps | None
 ) -> tuple[int, Alignment]:
-    """Realization count and the witness of the first costliest realization.
+    """Realization count and the witness of the first costliest realization
+    in lexicographic order.
 
     The realizations are listed before any is aligned, so a trace over the
     realization cap costs no alignment. Each realization is aligned once; the
@@ -467,8 +468,8 @@ def upper_bound(
     """Worst-case conformance cost over all realizations, with a witness.
 
     Enumerates realizations (bounded by ``caps``) and aligns each one. The
-    witness aligns the first realization attaining the maximum, in
-    enumeration order.
+    witness aligns the first realization attaining the maximum in
+    lexicographic order of activity sequences.
     """
     _, alignment = _costliest_realization(trace, _model_structures(model, cost), cost, caps)
     return alignment.cost, alignment

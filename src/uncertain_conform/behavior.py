@@ -13,7 +13,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ValidationError
-from .events import EnumerationCaps, UncertainEvent, UncertainTrace
+from .events import EnumerationCaps, UncertainEvent, UncertainTrace, linear_words
 from .petri import Marking, PetriNet, RESERVED_LABELS, SystemNet
 
 START = "start"
@@ -116,41 +116,15 @@ def behavior_graph(trace: UncertainTrace) -> BehaviorGraph:
 def topological_sortings(
     bg: BehaviorGraph, caps: EnumerationCaps | None = None
 ) -> list[tuple[str, ...]]:
-    """All topological sortings of the behavior graph, in deterministic order."""
+    """All topological sortings of the behavior graph, in lexicographic order."""
     caps = caps or EnumerationCaps.from_env()
     vertices = sorted(bg.events)
     if len(vertices) > caps.max_events:
         raise CapExceeded(f"graph has {len(vertices)} vertices, over the enumeration cap ({caps.max_events})")
-    succ: dict[str, list[str]] = {v: [] for v in vertices}
-    indeg: dict[str, int] = {v: 0 for v in vertices}
-    for u, w in bg.edges:
-        succ[u].append(w)
-        indeg[w] += 1
-
-    out: list[tuple[str, ...]] = []
-    prefix: list[str] = []
-
-    def extend(remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            if len(out) > caps.max_realizations:
-                raise CapExceeded(f"graph exceeds the sorting cap ({caps.max_realizations})")
-            return
-        for v in vertices:
-            if indeg[v] != 0:
-                continue
-            indeg[v] = -1  # taken
-            for w in succ[v]:
-                indeg[w] -= 1
-            prefix.append(v)
-            extend(remaining - 1)
-            prefix.pop()
-            for w in succ[v]:
-                indeg[w] += 1
-            indeg[v] = 0
-
-    extend(len(vertices))
-    return out
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    preds = [sum(bit[u] for u, w in bg.edges if w == v) for v in vertices]
+    message = f"graph has more sortings than the sorting cap ({caps.max_realizations})"
+    return list(linear_words(preds, [(v,) for v in vertices], caps.max_realizations, message))
 
 
 def behavior_net(trace: UncertainTrace) -> SystemNet:

@@ -253,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "deviation_config", None) is not None and not args.deviation_config:
-        args.deviation_config = None
     if args.command == "exp-divergence":
         if not args.deviation_config:
             args.deviation_config = ["extra"]

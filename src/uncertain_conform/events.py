@@ -1,27 +1,27 @@
-"""Uncertain events, traces and logs, and brute-force realization enumeration.
+"""Uncertain events, traces and logs, and realization enumeration.
 
 An uncertain event carries a set of candidate activity labels, a closed
 timestamp interval, and an indeterminacy flag ("?" events may not have
 happened at all). Timestamps are integers (nanoseconds since the epoch);
 only their total order matters here.
 
-The enumeration routines in this module are deliberately straightforward:
-they are the ground truth the graph- and net-based machinery elsewhere is
-checked against.
+One walk, :func:`linear_words`, lists the distinct words of the linear
+extensions of a partial order, each once and in lexicographic order. Orderings
+(each event emits its id), behavior-graph sortings and realizations (each
+event emits one of its labels, or nothing when indeterminate) all come from
+it. The upper bound aligns what it lists; the net-based lower bound is
+checked against it.
 """
 from __future__ import annotations
 
-import itertools
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ValidationError
 
 #: Environment variable overriding enumeration caps: "EVENTS" or "EVENTS,REALIZATIONS".
 CAP_ENV_VAR = "UNCERTAIN_CONFORM_CAP"
-
-_SKIP = object()  # sentinel: indeterminate event left out of a realization
 
 
 @dataclass(frozen=True)
@@ -152,75 +152,91 @@ def precedes(e: UncertainEvent, e2: UncertainEvent) -> bool:
     return e.t_max < e2.t_min
 
 
-def order_realizations(
-    trace: UncertainTrace, caps: EnumerationCaps | None = None
-) -> list[tuple[str, ...]]:
-    """All event-id permutations that are linear extensions of the timestamp order.
+def linear_words(
+    preds: Sequence[int], emits: Sequence[Sequence[str | None]], cap: int, cap_message: str
+) -> Iterator[tuple[str, ...]]:
+    """The distinct words spelled by the linear extensions of a strict partial order.
 
-    Deterministic: candidates are explored in lexicographic event-id order.
+    Element i may be placed once every element of the bitmask ``preds[i]`` is
+    placed, and it then emits one symbol of ``emits[i]``; None emits nothing.
+    A word is spelled when every element is placed.
+
+    Each walk node is the set of placed-element bitmasks that some run
+    spelling the node's prefix can reach, closed under None steps (a subset
+    construction). Children follow in sorted symbol order and a word comes
+    before its extensions, so each distinct word is visited once, in
+    lexicographic order. Raises CapExceeded with ``cap_message`` when more
+    than ``cap`` words are spelled.
     """
-    caps = caps or EnumerationCaps.from_env()
+    full = (1 << len(preds)) - 1
+    silent = [(1 << i, p) for i, (p, e) in enumerate(zip(preds, emits)) if None in e]
+    loud = [(1 << i, p, s) for i, (p, e) in enumerate(zip(preds, emits)) for s in e if s is not None]
+
+    def close(node: set[int]) -> set[int]:
+        todo = list(node)
+        while todo:
+            placed = todo.pop()
+            for bit, p in silent:
+                nxt = placed | bit
+                if p & placed == p and nxt not in node:
+                    node.add(nxt)
+                    todo.append(nxt)
+        return node
+
+    count = 0
+    stack = [((), close({0}))]
+    while stack:
+        word, node = stack.pop()
+        if full in node:
+            count += 1
+            if count > cap:
+                raise CapExceeded(cap_message)
+            yield word
+        children: dict[str, set[int]] = {}
+        for placed in node:
+            for bit, p, symbol in loud:
+                if not placed & bit and p & placed == p:
+                    children.setdefault(symbol, set()).add(placed | bit)
+        for symbol in sorted(children, reverse=True):
+            stack.append((word + (symbol,), close(children[symbol])))
+
+
+def _by_id(trace: UncertainTrace, caps: EnumerationCaps) -> tuple[list[UncertainEvent], list[int]]:
+    """The trace's events sorted by id and each one's predecessors as a bitmask."""
     if len(trace) > caps.max_events:
         raise CapExceeded(
             f"trace {trace.case_id!r} has {len(trace)} events, over the enumeration cap ({caps.max_events})"
         )
     events = sorted(trace.events, key=lambda e: e.id)
-    preds: dict[str, set[str]] = {
-        e.id: {p.id for p in events if precedes(p, e)} for e in events
-    }
-    out: list[tuple[str, ...]] = []
-    prefix: list[str] = []
-    placed: set[str] = set()
+    preds = [sum(1 << i for i, p in enumerate(events) if precedes(p, e)) for e in events]
+    return events, preds
 
-    def extend(remaining: list[UncertainEvent]) -> None:
-        if not remaining:
-            out.append(tuple(prefix))
-            if len(out) > caps.max_realizations:
-                raise CapExceeded(
-                    f"trace {trace.case_id!r} exceeds the realization cap ({caps.max_realizations})"
-                )
-            return
-        for i, e in enumerate(remaining):
-            if preds[e.id] <= placed:
-                prefix.append(e.id)
-                placed.add(e.id)
-                extend(remaining[:i] + remaining[i + 1 :])
-                placed.discard(e.id)
-                prefix.pop()
 
-    extend(events)
-    return out
+def order_realizations(
+    trace: UncertainTrace, caps: EnumerationCaps | None = None
+) -> list[tuple[str, ...]]:
+    """All event-id permutations that are linear extensions of the timestamp
+    order, in lexicographic order. The realization cap counts orderings."""
+    caps = caps or EnumerationCaps.from_env()
+    events, preds = _by_id(trace, caps)
+    message = f"trace {trace.case_id!r} has more orderings than the realization cap ({caps.max_realizations})"
+    return list(linear_words(preds, [(e.id,) for e in events], caps.max_realizations, message))
 
 
 def iter_realizations(
     trace: UncertainTrace, caps: EnumerationCaps | None = None
 ) -> Iterator[tuple[str, ...]]:
-    """Distinct realizations in a deterministic order.
+    """Distinct realizations, in lexicographic order of activity sequences.
 
-    For every order-realization, every choice of one label per event is
-    expanded, with indeterminate events additionally allowed to be absent.
-    Duplicates across orderings are suppressed (first occurrence wins).
+    Each event emits one of its labels where it is placed; an indeterminate
+    event may also emit nothing. The realization cap counts distinct
+    realizations.
     """
     caps = caps or EnumerationCaps.from_env()
-    seen: set[tuple[str, ...]] = set()
-    for order in order_realizations(trace, caps):
-        options = []
-        for event_id in order:
-            e = trace.event(event_id)
-            choices: list[object] = list(e.sorted_activities())
-            if e.indeterminate:
-                choices.append(_SKIP)
-            options.append(choices)
-        for combo in itertools.product(*options):
-            seq = tuple(a for a in combo if a is not _SKIP)
-            if seq in seen:
-                continue
-            seen.add(seq)
-            if len(seen) > caps.max_realizations:
-                raise CapExceeded(
-                    f"trace {trace.case_id!r} exceeds the realization cap ({caps.max_realizations})"
-                )
-            yield seq
+    events, preds = _by_id(trace, caps)
+    emits = [(*e.activities, None) if e.indeterminate else e.activities for e in events]
+    message = f"trace {trace.case_id!r} exceeds the realization cap ({caps.max_realizations})"
+    return linear_words(preds, emits, caps.max_realizations, message)
 
 
 def realizations(trace: UncertainTrace, caps: EnumerationCaps | None = None) -> set[tuple[str, ...]]:

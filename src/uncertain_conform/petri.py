@@ -300,38 +300,31 @@ def product_net(s1: SystemNet, s2: SystemNet) -> SystemNet:
 def language(sn: SystemNet, max_len: int, max_firings: int = 10_000) -> set[tuple[str, ...]]:
     """Visible label sequences of complete firing sequences, up to ``max_len``.
 
-    τ firings are excluded from the projection but still bounded by the total
-    firing cap, which guards against nets with τ loops.
+    Each (marking, word) pair is explored once, so τ loops end. Every firing
+    counts toward ``max_firings``.
     """
     if max_len < 0:
         raise ValidationError("max_len must be nonnegative")
     net = sn.net
-    final = sn.final_marking
     results: set[tuple[str, ...]] = set()
+    stack = [(sn.initial_marking, ())]
+    seen = set(stack)
     fired = 0
-
-    def explore(marking: Marking, word: tuple[str, ...], silent_seen: frozenset[Marking]) -> None:
-        nonlocal fired
-        if marking == final:
+    while stack:
+        marking, word = stack.pop()
+        if marking == sn.final_marking:
             results.add(word)
         for t in enabled_transitions(net, marking):
             label = net.label(t)
-            if label is None:
-                nxt = fire(net, marking, t)
-                if nxt in silent_seen:
-                    continue  # τ loop: no visible progress since last visit
-                fired += 1
-                if fired > max_firings:
-                    raise CapExceeded(f"language exploration exceeded the firing cap ({max_firings})")
-                explore(nxt, word, silent_seen | {nxt})
-            elif len(word) < max_len:
-                fired += 1
-                if fired > max_firings:
-                    raise CapExceeded(f"language exploration exceeded the firing cap ({max_firings})")
-                nxt = fire(net, marking, t)
-                explore(nxt, word + (label,), frozenset((nxt,)))
-
-    explore(sn.initial_marking, (), frozenset((sn.initial_marking,)))
+            if label is not None and len(word) == max_len:
+                continue
+            fired += 1
+            if fired > max_firings:
+                raise CapExceeded(f"language exploration exceeded the firing cap ({max_firings})")
+            pair = (_fire_unchecked(net, marking, t), word if label is None else word + (label,))
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
     return results
 
 

@@ -194,7 +194,7 @@ class TestBounds:
         assert lower_bound(trace, model)[0] == lower_bound_bruteforce(trace, model)
 
     def test_upper_bound_cap_propagates(self):
-        events = tuple(UncertainEvent(f"e{i}", frozenset({"a"}), 0, 99, False) for i in range(8))
+        events = tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 99, False) for i in range(8))  # 2^8 realizations
         trace = UncertainTrace("c", events)
         with pytest.raises(CapExceeded):
             upper_bound(trace, event_net(["a"]), caps=EnumerationCaps(max_realizations=10))
@@ -222,7 +222,7 @@ class TestLogBounds:
     def test_cap_recorded_not_fatal(self):
         explosive = UncertainTrace(
             "big",
-            tuple(UncertainEvent(f"b{i}", frozenset({"a"}), 0, 99, False) for i in range(8)),
+            tuple(UncertainEvent(f"b{i}", frozenset({"a", "b"}), 0, 99, False) for i in range(8)),
         )
         small = UncertainTrace("small", (certain_event("s", "a", 1),))
         log = UncertainLog((explosive, small))
@@ -236,7 +236,7 @@ class TestLogBounds:
     def test_totals_sum_the_same_traces(self):
         explosive = UncertainTrace(
             "big",
-            tuple(UncertainEvent(f"b{i}", frozenset({"b"}), 0, 99, False) for i in range(8)),
+            tuple(UncertainEvent(f"b{i}", frozenset({"b", "c"}), 0, 99, False) for i in range(8)),
         )
         small = UncertainTrace("small", (certain_event("s", "b", 1),))
         log = UncertainLog((explosive, small))
@@ -245,6 +245,13 @@ class TestLogBounds:
         assert by_case["big"].error is not None and by_case["big"].lower_cost == 9
         assert by_case["small"].lower_cost == by_case["small"].upper_cost == 2
         assert (result.total_lower, result.total_upper) == (2, 2)
+
+    def test_cap_counts_distinct_realizations(self):
+        # 8! orderings, but one label: a single realization.
+        same = UncertainTrace("same", tuple(UncertainEvent(f"b{i}", frozenset({"a"}), 0, 99) for i in range(8)))
+        result = log_bounds(UncertainLog((same,)), event_net(["a"]), caps=EnumerationCaps(max_realizations=5))
+        assert result.reports[0].error is None
+        assert result.reports[0].realization_count == 1
 
     def test_report_invariant(self):
         with pytest.raises(AssertionError, match="exceeds upper bound"):

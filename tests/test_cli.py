@@ -114,6 +114,12 @@ class TestBounds:
         by_case = {r["case_id"]: r for r in rows}
         assert by_case["table6"]["upper_cost"] == by_case["table7"]["upper_cost"] == "capped"
 
+    def test_state_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(align, "STATE_CAP", 50)  # the ICU model has 94 states
+        code = main(["bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(DATA_DIR / "icu_net.json")])
+        assert code == 2
+        assert "state cap" in capsys.readouterr().err
+
 
 class TestGen:
     def test_deterministic_outputs(self, tmp_path):

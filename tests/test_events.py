@@ -1,4 +1,6 @@
 """Uncertain event model: precedence, realizations, caps, validation."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from uncertain_conform import (
     precedes,
     realizations,
 )
-from uncertain_conform.events import CAP_ENV_VAR
+from uncertain_conform.events import CAP_ENV_VAR, iter_realizations
 
 DAY = 24 * 3600 * 10**9
 
@@ -134,7 +136,7 @@ class TestCountRealizations:
         assert count_realizations(UncertainLog(())) == 0
 
     def test_cap_error_names_case(self):
-        events = tuple(UncertainEvent(f"e{i}", frozenset({"a"}), 0, 100, False) for i in range(9))
+        events = tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 100, False) for i in range(9))
         log = UncertainLog((UncertainTrace("explosive", events),))
         with pytest.raises(CapExceeded, match="explosive"):
             count_realizations(log, EnumerationCaps(max_events=12, max_realizations=50))
@@ -249,3 +251,27 @@ class TestOrderProperties:
         ids = sorted(e.id for e in trace.events)
         for order in order_realizations(trace):
             assert sorted(order) == ids
+
+
+class TestEnumerationOracle:
+    """The shared walk against plain permutations and label products."""
+
+    @given(uncertain_traces(max_events=6))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_permutations(self, trace):
+        by_id = {e.id: e for e in trace.events}
+        orders = [
+            order for order in itertools.permutations(sorted(by_id))
+            if not any(precedes(by_id[later], by_id[earlier]) for earlier, later in itertools.combinations(order, 2))
+        ]
+        assert order_realizations(trace) == orders
+        words = set()
+        for order in orders:
+            options = [sorted(by_id[i].activities) + ([None] if by_id[i].indeterminate else []) for i in order]
+            words.update(tuple(a for a in combo if a is not None) for combo in itertools.product(*options))
+        assert list(iter_realizations(trace)) == sorted(words)
+
+    def test_ten_overlapping_events_fit_their_realization_count(self):
+        events = tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 99) for i in range(10))
+        trace = UncertainTrace("wide", events)  # 10! orderings, 2^10 realizations
+        assert len(list(iter_realizations(trace, EnumerationCaps(max_realizations=1024)))) == 1024
