@@ -1,8 +1,9 @@
 """Optimal alignments and conformance bounds for uncertain traces.
 
 The search runs over the product of an acyclic trace side and the model's
-reachable markings. The trace side is the behavior net's reachability graph
-for the lower bound and a plain chain for one realization or certain trace.
+reachable markings. The trace side is the lattice of order ideals of the
+trace's timestamp order for the lower bound (the behavior net's reachability
+graph, built without the net) and a plain chain for one realization.
 One forward DP in topological order of the trace side fills two tables of
 trace node x model state: ``pre`` after the move that consumed the node's
 in-edge, ``post`` after the model moves that follow. This is a uniform-cost
@@ -23,7 +24,7 @@ first (source state, then transition id); the transfer before it is a
 synchronous move, else a trace-side skip, else a log move.
 
 The upper bound lists realizations and aligns each one; the lower bound is
-one search over the behavior net. Memory is linear in the model's edges plus
+one search over the lattice. Memory is linear in the model's edges plus
 the two tables, which :data:`PRODUCT_CAP` bounds.
 """
 from __future__ import annotations
@@ -36,12 +37,12 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .behavior import behavior_net
 from .errors import CapExceeded, ValidationError
-from .events import EnumerationCaps, UncertainLog, UncertainTrace, iter_realizations
+from .events import EnumerationCaps, UncertainLog, UncertainTrace, _by_id, iter_realizations, order_ideals
 from .petri import Marking, SystemNet, _fire_unchecked
 
-#: Markings explored per net before giving up (guards unbounded nets).
+#: States explored per model, and order ideals per trace, before giving up
+#: (guards unbounded nets and wide traces).
 STATE_CAP = 200_000
 #: Cells (trace-side states x model states) of one alignment's two float64 tables.
 PRODUCT_CAP = 30_000_000
@@ -156,8 +157,6 @@ class ReachabilityGraph:
             edges.append(out)
             frontier += 1
 
-        self.nodes = nodes
-        self.index = index
         self.edges = edges
         self.n = len(nodes)
         self.initial = 0
@@ -300,7 +299,8 @@ def _forward(
 
     ``order`` lists the trace nodes topologically, the initial node first;
     only that node has no in-edges. ``in_edges[b]`` holds (source, label, _)
-    triples, where a None label is a free trace-side skip (a behavior-net τ).
+    triples, where a None label is a free trace-side skip (an indeterminate
+    event left out).
     ``pre[b, v]`` is the cheapest cost of reaching trace node b with the
     model at v by a move that consumes b's in-edge; ``post[b, v]`` adds the
     model moves that follow.
@@ -406,21 +406,44 @@ def optimal_alignment(
     return _witness(_chain(trace), len(trace), *_sequence_cost(trace, moves, cost), moves, cost)
 
 
+def _trace_side(trace: UncertainTrace) -> list[list[tuple[int, str | None, str]]]:
+    """In-edges (source, label, transition id) of the trace's lattice of order ideals.
+
+    The edges are listed in the behavior net's transition-id order (``e:a``
+    places event e with label a, ``e:tau`` skips it), so nodes are numbered,
+    and in-edges listed, exactly as in the net's reachability graph: the
+    witness's tie-breaks stay those of the paper's construction. The event
+    index keeps apart two events that spell the same id.
+    """
+    events, preds = _by_id(trace, None)
+    steps = sorted(
+        (f"{e.id}:{TAU_MARKER if a is None else a}", i, a)
+        for i, e in enumerate(events)
+        for a in ((*e.activities, None) if e.indeterminate else e.activities)
+    )
+    message = f"trace {trace.case_id!r} has more order ideals than the state cap ({STATE_CAP})"
+    out = order_ideals(preds, [(i, a) for _, i, a in steps], STATE_CAP, message)
+    tids = {(i, a): tid for tid, i, a in steps}
+    into: list[list[tuple[int, str | None, str]]] = [[] for _ in out]
+    for src, edges in enumerate(out):
+        for i, a, dst in edges:
+            into[dst].append((src, a, tids[i, a]))
+    return into
+
+
 def lower_bound(
     trace: UncertainTrace, model: SystemNet, cost: CostFunction = STANDARD_COST
 ) -> tuple[int, Alignment]:
     """Best-case conformance cost over all realizations, with a witness.
 
-    One search over the product of the trace's behavior net and the model;
-    the witness's log projection is the realization achieving the minimum.
+    One search over the product of the trace's lattice of order ideals and
+    the model; the witness's log projection is the realization achieving the
+    minimum.
     """
     moves = _model_structures(model, cost)
-    left = reachability_graph(behavior_net(trace))
-    if left.topo_order is None or left.final is None:
-        raise AssertionError("a behavior net is acyclic and reaches its final marking")
-    in_edges = left.in_edges()
-    pre, post = _forward(left.topo_order, in_edges, moves, cost)
-    alignment = _witness(in_edges, left.final, pre, post, moves, cost)
+    in_edges = _trace_side(trace)
+    pre, post = _forward(range(len(in_edges)), in_edges, moves, cost)
+    alignment = _witness(in_edges, len(in_edges) - 1, pre, post, moves, cost)
     return alignment.cost, alignment
 
 

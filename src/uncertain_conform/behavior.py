@@ -3,8 +3,9 @@
 The behavior graph of an uncertain trace is the transitive reduction of the
 precedence DAG induced by the timestamp intervals; its topological sortings
 are exactly the trace's order-realizations. The behavior net is a Petri net
-that replays all and only the trace's realizations, which makes it the
-efficient carrier for the lower conformance bound.
+that replays all and only the trace's realizations; its reachable markings
+are the order ideals of the timestamp order, which the bounds search
+directly (:func:`events.order_ideals`). Both are kept as checked constructs.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, ValidationError
 from .events import EnumerationCaps, UncertainEvent, UncertainTrace, linear_words
-from .petri import Marking, PetriNet, RESERVED_LABELS, SystemNet
+from .petri import Marking, PetriNet, SystemNet
 
 START = "start"
 END = "end"
@@ -27,22 +28,8 @@ class BehaviorGraph:
     events: Mapping[str, UncertainEvent]
     edges: frozenset[tuple[str, str]]
 
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(self.events)
-
     def successors(self, v: str) -> tuple[str, ...]:
         return tuple(sorted(w for (u, w) in self.edges if u == v))
-
-    def predecessors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(u for (u, w) in self.edges if w == v))
-
-    def sources(self) -> tuple[str, ...]:
-        targets = {w for (_, w) in self.edges}
-        return tuple(v for v in self.events if v not in targets)
-
-    def sinks(self) -> tuple[str, ...]:
-        origins = {u for (u, _) in self.edges}
-        return tuple(v for v in self.events if v not in origins)
 
 
 def _assert_acyclic(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
@@ -133,50 +120,36 @@ def behavior_net(trace: UncertainTrace) -> SystemNet:
     One place per behavior-graph edge plus start/end places for sources and
     sinks; per event, one visible transition per candidate activity (an XOR
     over the event's places) and one τ transition when the event is
-    indeterminate. Concurrent events become AND splits/joins.
+    indeterminate. Concurrent events become AND splits/joins. Transition
+    ids are ``event:label`` and ``event:tau``; two events that spell the same
+    id are rejected.
     """
     bg = behavior_graph(trace)
-
-    preds: dict[str, list[str]] = {v: [] for v in bg.events}
-    succs: dict[str, list[str]] = {v: [] for v in bg.events}
-    for u, w in sorted(bg.edges):
-        succs[u].append(w)
-        preds[w].append(u)
-
-    place_of_edge = {(u, w): f"{u}→{w}" for (u, w) in bg.edges}
-    start_places = {v: f"{START}→{v}" for v in bg.events if not preds[v]}
-    end_places = {v: f"{v}→{END}" for v in bg.events if not succs[v]}
-
-    places = list(place_of_edge.values()) + list(start_places.values()) + list(end_places.values())
+    heads = {w for _, w in bg.edges}
+    tails = {u for u, _ in bg.edges}
+    # Each place as (name, event whose transitions fill it, event whose transitions empty it).
+    flows = [(f"{u}→{w}", u, w) for u, w in sorted(bg.edges)]
+    flows += [(f"{START}→{v}", None, v) for v in bg.events if v not in heads]
+    flows += [(f"{v}→{END}", v, None) for v in bg.events if v not in tails]
+    owner: dict[str, str] = {}
     labels: dict[str, str] = {}
-    pre: dict[str, tuple[str, ...]] = {}
-    post: dict[str, tuple[str, ...]] = {}
-
+    variants: dict[str, list[str]] = {v: [] for v in bg.events}
     for v, event in bg.events.items():
-        inputs = (start_places[v],) if v in start_places else tuple(
-            place_of_edge[(u, v)] for u in preds[v]
-        )
-        outputs = (end_places[v],) if v in end_places else tuple(
-            place_of_edge[(v, w)] for w in succs[v]
-        )
-        variants: list[tuple[str, str | None]] = [(f"{v}:{a}", a) for a in event.sorted_activities()]
-        if event.indeterminate:
-            variants.append((f"{v}:tau", None))
-        for tid, label in variants:
+        for label in (*event.sorted_activities(), *([None] if event.indeterminate else [])):
+            tid = f"{v}:{'tau' if label is None else label}"
+            if tid in owner:
+                raise ValidationError(f"events {owner[tid]!r} and {v!r} both give transition id {tid!r}")
+            owner[tid] = v
+            variants[v].append(tid)
             if label is not None:
-                if label in RESERVED_LABELS:
-                    raise ValidationError(
-                        f"event {v!r} uses reserved activity label {label!r}; it cannot label a net transition"
-                    )
                 labels[tid] = label
-            pre[tid] = inputs
-            post[tid] = outputs
-
-    net = PetriNet._trusted(places, labels, pre, post)
+    arcs = [(place, t) for place, _, w in flows if w is not None for t in variants[w]]
+    arcs += [(t, place) for place, u, _ in flows if u is not None for t in variants[u]]
+    net = PetriNet([place for place, _, _ in flows], owner, arcs, labels)
     return SystemNet(
         net,
-        Marking(sorted(start_places.values())),
-        Marking(sorted(end_places.values())),
+        Marking(place for place, u, _ in flows if u is None),
+        Marking(place for place, _, w in flows if w is None),
     )
 
 

@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--out")
     p_div.set_defaults(func=cmd_exp_divergence)
 
-    p_perf = sub.add_parser("exp-performance", help="behavior net vs brute force timing")
+    p_perf = sub.add_parser("exp-performance", help="one-search (method behavior_net) vs brute-force lower bound timing")
     p_perf.add_argument("--sizes", default="5,10,15,20")
     p_perf.add_argument("--traces", type=int, default=50)
     p_perf.add_argument("--reps", type=int, default=3)

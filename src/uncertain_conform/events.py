@@ -5,12 +5,13 @@ timestamp interval, and an indeterminacy flag ("?" events may not have
 happened at all). Timestamps are integers (nanoseconds since the epoch);
 only their total order matters here.
 
-One walk, :func:`linear_words`, lists the distinct words of the linear
-extensions of a partial order, each once and in lexicographic order. Orderings
-(each event emits its id), behavior-graph sortings and realizations (each
-event emits one of its labels, or nothing when indeterminate) all come from
-it. The upper bound aligns what it lists; the net-based lower bound is
-checked against it.
+A trace's state space is the lattice of order ideals of its timestamp order
+(:func:`order_ideals`): the reachability graph of its behavior net, built
+without the net. The lower bound searches it; :func:`linear_words`
+determinizes it to list the distinct words of the linear extensions, each
+once and in lexicographic order. Orderings (each event emits its id),
+behavior-graph sortings and realizations (each event emits one of its
+labels, or nothing when indeterminate) all come from that walk.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .errors import CapExceeded, ValidationError
+from .petri import RESERVED_LABELS
 
 #: Environment variable overriding enumeration caps: "EVENTS" or "EVENTS,REALIZATIONS".
 CAP_ENV_VAR = "UNCERTAIN_CONFORM_CAP"
@@ -71,6 +73,9 @@ class UncertainEvent:
             raise ValidationError(f"event {self.id!r} has an empty activity set")
         if self.t_min > self.t_max:
             raise ValidationError(f"event {self.id!r} has t_min > t_max")
+        reserved = sorted(self.activities & RESERVED_LABELS)
+        if reserved:
+            raise ValidationError(f"event {self.id!r} uses reserved activity label {reserved[0]!r}")
 
     @property
     def is_certain(self) -> bool:
@@ -152,6 +157,38 @@ def precedes(e: UncertainEvent, e2: UncertainEvent) -> bool:
     return e.t_max < e2.t_min
 
 
+def order_ideals(
+    preds: Sequence[int], steps: Sequence[tuple[int, str | None]], cap: int | None = None, cap_message: str = ""
+) -> list[list[tuple[int, str | None, int]]]:
+    """Out-edges of the lattice of order ideals of a strict partial order.
+
+    Element i may be placed once every element of the bitmask ``preds[i]`` is;
+    each (element, symbol) of ``steps`` places it, and each element needs one.
+    Nodes are the placed-element bitmasks, numbered breadth-first from the
+    empty ideal; node v's out-edges are (element, symbol, target) in the order
+    of ``steps``. Every edge places one element, so the numbering is
+    topological and the full ideal comes last. More than ``cap`` nodes raise
+    CapExceeded with ``cap_message``.
+    """
+    moves = [(1 << i, preds[i], i, symbol) for i, symbol in steps]
+    index = {0: 0}
+    masks = [0]
+    out: list[list[tuple[int, str | None, int]]] = []
+    for placed in masks:  # a BFS queue: the loop reaches the masks appended in it
+        edges = []
+        for bit, p, i, symbol in moves:
+            if placed & bit or p & placed != p:
+                continue
+            if (nxt := placed | bit) not in index:
+                if cap is not None and len(masks) >= cap:
+                    raise CapExceeded(cap_message)
+                index[nxt] = len(masks)
+                masks.append(nxt)
+            edges.append((i, symbol, index[nxt]))
+        out.append(edges)
+    return out
+
+
 def linear_words(
     preds: Sequence[int], emits: Sequence[Sequence[str | None]], cap: int, cap_message: str
 ) -> Iterator[tuple[str, ...]]:
@@ -161,24 +198,21 @@ def linear_words(
     placed, and it then emits one symbol of ``emits[i]``; None emits nothing.
     A word is spelled when every element is placed.
 
-    Each walk node is the set of placed-element bitmasks that some run
-    spelling the node's prefix can reach, closed under None steps (a subset
-    construction). Children follow in sorted symbol order and a word comes
-    before its extensions, so each distinct word is visited once, in
+    Each walk node is the set of lattice nodes (:func:`order_ideals`) that
+    some run spelling the node's prefix can reach, closed under None steps (a
+    subset construction). Children follow in sorted symbol order and a word
+    comes before its extensions, so each distinct word is visited once, in
     lexicographic order. Raises CapExceeded with ``cap_message`` when more
     than ``cap`` words are spelled.
     """
-    full = (1 << len(preds)) - 1
-    silent = [(1 << i, p) for i, (p, e) in enumerate(zip(preds, emits)) if None in e]
-    loud = [(1 << i, p, s) for i, (p, e) in enumerate(zip(preds, emits)) for s in e if s is not None]
+    out = order_ideals(preds, [(i, symbol) for i, e in enumerate(emits) for symbol in e])
+    full = len(out) - 1
 
     def close(node: set[int]) -> set[int]:
         todo = list(node)
         while todo:
-            placed = todo.pop()
-            for bit, p in silent:
-                nxt = placed | bit
-                if p & placed == p and nxt not in node:
+            for _, symbol, nxt in out[todo.pop()]:
+                if symbol is None and nxt not in node:
                     node.add(nxt)
                     todo.append(nxt)
         return node
@@ -193,17 +227,18 @@ def linear_words(
                 raise CapExceeded(cap_message)
             yield word
         children: dict[str, set[int]] = {}
-        for placed in node:
-            for bit, p, symbol in loud:
-                if not placed & bit and p & placed == p:
-                    children.setdefault(symbol, set()).add(placed | bit)
+        for v in node:
+            for _, symbol, nxt in out[v]:
+                if symbol is not None:
+                    children.setdefault(symbol, set()).add(nxt)
         for symbol in sorted(children, reverse=True):
             stack.append((word + (symbol,), close(children[symbol])))
 
 
-def _by_id(trace: UncertainTrace, caps: EnumerationCaps) -> tuple[list[UncertainEvent], list[int]]:
-    """The trace's events sorted by id and each one's predecessors as a bitmask."""
-    if len(trace) > caps.max_events:
+def _by_id(trace: UncertainTrace, caps: EnumerationCaps | None) -> tuple[list[UncertainEvent], list[int]]:
+    """The trace's events sorted by id and each one's predecessors as a bitmask.
+    ``caps`` None skips the event cap (the lower bound caps its states)."""
+    if caps is not None and len(trace) > caps.max_events:
         raise CapExceeded(
             f"trace {trace.case_id!r} has {len(trace)} events, over the enumeration cap ({caps.max_events})"
         )

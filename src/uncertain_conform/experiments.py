@@ -120,8 +120,10 @@ def run_performance(
     spec: ExperimentSpec, p: float = 0.05, uncertainty_name: str = "all",
     caps: EnumerationCaps | None = None,
 ) -> list[dict]:
-    """Wall-clock comparison of the behavior-net and brute-force lower bounds.
+    """Wall-clock comparison of the one-search and brute-force lower bounds.
 
+    The one search runs over the behavior net's state space (the lattice of
+    order ideals); its rows keep the method name ``behavior_net``.
     Rows: n, method in {behavior_net, brute_force}, mean_seconds (per trace,
     averaged over repetitions). Costs must agree on every trace; a brute-force
     cap marks the row "timeout" instead of aborting.

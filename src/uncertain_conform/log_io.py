@@ -20,7 +20,7 @@ from typing import Union
 
 from .errors import ValidationError
 from .events import UncertainEvent, UncertainLog, UncertainTrace
-from .petri import RESERVED_LABELS, Marking, PetriNet, SystemNet
+from .petri import Marking, PetriNet, SystemNet
 
 SCHEMA_VERSION = "1.0"
 
@@ -81,14 +81,6 @@ def _read_bytes(source: Source) -> bytes:
     return data if isinstance(data, bytes) else data.encode("utf-8")
 
 
-def _reject_reserved(event: UncertainEvent, context: str) -> UncertainEvent:
-    """``event``, unless an activity is a label reserved by nets and alignments."""
-    reserved = sorted(event.activities & RESERVED_LABELS)
-    if reserved:
-        raise ValidationError(f"{context}: event {event.id!r} uses reserved activity label {reserved[0]!r}")
-    return event
-
-
 # ---------------------------------------------------------------------------
 # Uncertain log: JSON
 
@@ -125,14 +117,13 @@ def _event_from_dict(raw: dict, context: str) -> UncertainEvent:
         raise ValidationError(f"{context}: event is missing field {exc.args[0]!r}") from exc
     if not isinstance(activities, list) or not activities:
         raise ValidationError(f"{context}: event {event_id!r} needs a nonempty activity list")
-    event = UncertainEvent(
+    return UncertainEvent(
         id=str(event_id),
         activities=frozenset(str(a) for a in activities),
         t_min=t_min,
         t_max=t_max,
         indeterminate=bool(raw.get("indeterminate", False)),
     )
-    return _reject_reserved(event, context)
 
 
 def log_from_dict(doc: dict) -> UncertainLog:
@@ -227,7 +218,7 @@ def _xes_event(event_el: ET.Element, context: str, fallback_id: str) -> tuple[Un
         raise ValidationError(f"{context}: event {event_id!r} has no timestamp information")
 
     indeterminate = attrs.get(XES_KEY_INDETERMINACY, "false").lower() == "true"
-    return _reject_reserved(UncertainEvent(event_id, activities, t_min, t_max, indeterminate), context), unknown
+    return UncertainEvent(event_id, activities, t_min, t_max, indeterminate), unknown
 
 
 def _log_from_xes(data: bytes) -> UncertainLog:

@@ -81,10 +81,6 @@ class Marking(Mapping[str, int]):
         """Total number of tokens."""
         return sum(self._counts.values())
 
-    def key(self) -> tuple[tuple[str, int], ...]:
-        """Canonical hashable form (sorted place/count pairs)."""
-        return tuple(sorted(self._counts.items()))
-
 
 class PetriNet:
     """A labeled Petri net. Transitions absent from ``labels`` are invisible (τ).
@@ -122,30 +118,6 @@ class PetriNet:
             f"{len(self.arcs)} arcs, {len(self.labels)} visible)"
         )
 
-    @classmethod
-    def _trusted(
-        cls,
-        places: Iterable[str],
-        labels: Mapping[str, str],
-        pre: Mapping[str, tuple[str, ...]],
-        post: Mapping[str, tuple[str, ...]],
-    ) -> "PetriNet":
-        """Internal constructor for nets built by this package: the flow maps
-        are taken as-is and no validation runs (the builders are covered by
-        structural tests)."""
-        net = object.__new__(cls)
-        net.places = frozenset(places)
-        net.transitions = frozenset(pre)
-        net.arcs = frozenset(
-            [(p, t) for t, ps in pre.items() for p in ps]
-            + [(t, p) for t, ps in post.items() for p in ps]
-        )
-        net.labels = dict(labels)
-        net._pre = dict(pre)
-        net._post = dict(post)
-        net._sorted_transitions = tuple(sorted(net.transitions))
-        return net
-
     def _validate(self) -> None:
         if not self.places or not self.transitions:
             raise ValidationError("a net needs at least one place and one transition")
@@ -175,9 +147,6 @@ class PetriNet:
     def label(self, t: str) -> str | None:
         """Visible label of ``t``, or None when invisible."""
         return self.labels.get(t)
-
-    def visible_transitions(self) -> frozenset[str]:
-        return frozenset(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,9 +209,9 @@ def event_net(trace: Iterable[str]) -> SystemNet:
     n = len(labels)
     places = [f"p{i}" for i in range(1, n + 2)]
     transitions = [f"t{i}" for i in range(1, n + 1)]
-    pre = {transitions[i]: (places[i],) for i in range(n)}
-    post = {transitions[i]: (places[i + 1],) for i in range(n)}
-    net = PetriNet._trusted(places, dict(zip(transitions, labels)), pre, post)
+    arcs = [(places[i], t) for i, t in enumerate(transitions)]
+    arcs += [(t, places[i + 1]) for i, t in enumerate(transitions)]
+    net = PetriNet(places, transitions, arcs, dict(zip(transitions, labels)))
     return SystemNet(net, Marking([places[0]]), Marking([places[-1]]))
 
 

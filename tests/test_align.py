@@ -22,6 +22,7 @@ from uncertain_conform import (
     UncertainLog,
     UncertainTrace,
     ValidationError,
+    behavior_net,
     certain_event,
     event_net,
     fire,
@@ -193,6 +194,17 @@ class TestBounds:
         model = event_net(["SecTP", "Splenomeg", "Adm"])
         assert lower_bound(trace, model)[0] == lower_bound_bruteforce(trace, model)
 
+    def test_colliding_transition_ids(self):
+        # "x" + "y:z" and "x:y" + "z" both spell the behavior-net id "x:y:z".
+        trace = UncertainTrace("c", (
+            UncertainEvent("x", frozenset({"y:z", "w"}), 0, 0),
+            UncertainEvent("x:y", frozenset({"z"}), 1, 1),
+        ))
+        model = event_net(["y:z", "z"])
+        low, witness = lower_bound(trace, model)
+        assert low == lower_bound_bruteforce(trace, model) == 0
+        assert witness.log_projection() == ("y:z", "z")
+
     def test_upper_bound_cap_propagates(self):
         events = tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 99, False) for i in range(8))  # 2^8 realizations
         trace = UncertainTrace("c", events)
@@ -284,6 +296,23 @@ class TestProductCap:
         assert report.lower_cost is None and report.upper_cost is None
         assert "product cap (8)" in report.error
         assert (result.total_lower, result.total_upper) == (0, 0)
+
+
+class TestStateCap:
+    def test_trace_lattice_over_the_cap(self, monkeypatch):
+        model = event_net(["a"])  # 2 states
+        wide = UncertainTrace("wide", tuple(UncertainEvent(f"e{i}", frozenset({"a"}), 0, 9) for i in range(3)))  # 8 ideals
+        monkeypatch.setattr(align, "STATE_CAP", 8)
+        assert lower_bound(wide, model)[0] == 2
+        monkeypatch.setattr(align, "STATE_CAP", 7)
+        with pytest.raises(CapExceeded, match=r"trace 'wide'.*state cap \(7\)"):
+            lower_bound(wide, model)
+        small = UncertainTrace("small", (certain_event("s", "a", 1),))
+        result = log_bounds(UncertainLog((wide, small)), model)
+        capped, fine = result.reports
+        assert capped.lower_cost is None and capped.upper_cost is None
+        assert "state cap (7)" in capped.error
+        assert fine.error is None and fine.lower_cost == fine.upper_cost == 0
 
 
 def _cyclic_net(arcs, labels) -> SystemNet:
@@ -404,13 +433,17 @@ class TestBenchmarkHooks:
         result = log_bounds(log, event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"]))
         assert len(calls) == sum(r.realization_count for r in result.reports) == 11
 
-    def test_lower_bound_builds_nets_through_the_module(self, monkeypatch):
-        built, explored = [], []
-        real_net, real_graph = align.behavior_net, align.reachability_graph
-        monkeypatch.setattr(align, "behavior_net", lambda *args: built.append(real_net(*args)) or built[-1])
-        monkeypatch.setattr(align, "reachability_graph", lambda sn, *args: explored.append(sn) or real_graph(sn, *args))
-        lower_bound(running_example(), event_net(["Adm"]))
-        assert len(built) == 1 and built[0] in explored
+    def test_log_bounds_builds_no_net_for_traces(self, monkeypatch):
+        model = event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"])
+        prepare_model(model)
+        built = []
+        for cls in (PetriNet, align.ReachabilityGraph):
+            real = cls.__init__
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real: built.append(type(self)) or real(self, *args))
+        log_bounds(UncertainLog((running_example(),)), model)
+        assert built == []
+        behavior_net(running_example())  # the check sees a net that is built
+        assert built == [PetriNet]
 
     def test_prepare_model_builds_every_model_structure(self, monkeypatch):
         model = event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"])
@@ -420,7 +453,7 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(align, "ReachabilityGraph", lambda sn, *args: graphs.append(sn) or real_graph(sn, *args))
         monkeypatch.setattr(align, "_ModelMoves", lambda *args: moves.append(args) or real_moves(*args))
         log_bounds(UncertainLog((running_example(),)), model)
-        assert graphs and all(sn is not model for sn in graphs)  # only the behavior net's graph
+        assert graphs == []
         assert moves == []
 
     def test_traced_functions_are_module_attributes(self):

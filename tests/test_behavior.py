@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from test_events import running_example
 
+from uncertain_conform import align
 from uncertain_conform import (
     UncertainEvent,
     UncertainTrace,
@@ -123,6 +124,14 @@ class TestBehaviorNet:
         assert len(sn.net.postset("e0:a")) == 2
         assert len(sn.net.preset("e3:d")) == 2
 
+    def test_colliding_transition_ids_rejected(self):
+        trace = UncertainTrace("c", (
+            UncertainEvent("x", frozenset({"y:z"}), 0, 0),
+            UncertainEvent("x:y", frozenset({"z"}), 1, 1),
+        ))
+        with pytest.raises(ValidationError, match=r"events 'x' and 'x:y' both give transition id 'x:y:z'"):
+            behavior_net(trace)
+
     def test_place_naming_convention(self):
         sn = behavior_net(running_example())
         assert "start→e1" in sn.net.places
@@ -149,3 +158,13 @@ class TestGraphNetProperties:
     @settings(max_examples=80, deadline=None)
     def test_language_equals_realizations(self, trace):
         assert language(behavior_net(trace), len(trace)) == realizations(trace)
+
+    @given(uncertain_traces(max_events=6))
+    @settings(max_examples=80, deadline=None)
+    def test_ideal_lattice_is_the_net_reachability_graph(self, trace):
+        # Theorem B's construct stays checked: the lower bound searches the
+        # lattice, numbered and edged exactly as the behavior net's markings.
+        rg = align.reachability_graph(behavior_net(trace))
+        lattice = align._trace_side(trace)
+        assert len(lattice) == rg.n
+        assert lattice == rg.in_edges()

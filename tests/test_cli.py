@@ -105,6 +105,29 @@ class TestBounds:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[1] == "1,1,1,1"
 
+    def test_colliding_transition_ids(self, tmp_path, capsys):
+        # Events "x" (label "y:z") and "x:y" (label "z") would both give the
+        # behavior-net transition id "x:y:z".
+        def event(event_id, label, minute):
+            stamp = f"2020-01-01T00:0{minute}:00Z"
+            return {"id": event_id, "activities": [label], "t_min": stamp, "t_max": stamp}
+
+        net = {
+            "places": ["p0", "p1", "p2"],
+            "transitions": [{"id": "t1", "label": "y:z"}, {"id": "t2", "label": "z"}],
+            "arcs": [["p0", "t1"], ["t1", "p1"], ["p1", "t2"], ["t2", "p2"]],
+            "initial_marking": {"p0": 1},
+            "final_marking": {"p2": 1},
+        }
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        (tmp_path / "log.json").write_text(json.dumps(
+            {"schema_version": "1.0", "traces": [{"case_id": "c", "events": [event("x", "y:z", 0), event("x:y", "z", 1)]}]}
+        ))
+        code = main(["bounds", "--log", str(tmp_path / "log.json"), "--net", str(tmp_path / "net.json"), "--json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert (report["lower_cost"], report["upper_cost"], report["error"]) == (0, 0, None)
+
     def test_product_cap_marks_rows_and_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(align, "PRODUCT_CAP", 10)
         code, rows = run_cli(

@@ -206,6 +206,11 @@ class TestValidation:
     def test_point_timestamp_allowed(self):
         UncertainEvent("e", frozenset({"a"}), 2, 2, False)
 
+    @pytest.mark.parametrize("label", ["tau", "τ", ">>"])
+    def test_reserved_label_names_event_and_label(self, label):
+        with pytest.raises(ValidationError, match=f"'res'.*{label!r}"):
+            UncertainEvent("res", frozenset({"a", label}), 0, 0)
+
     def test_duplicate_ids_in_trace(self):
         with pytest.raises(ValidationError):
             UncertainTrace("c", (certain_event("e", "a", 1), certain_event("e", "b", 2)))
