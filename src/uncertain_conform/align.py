@@ -2,8 +2,9 @@
 
 The search runs over the product of an acyclic trace side and the model's
 reachable markings. The trace side is the lattice of order ideals of the
-trace's timestamp order for the lower bound (the behavior net's reachability
-graph, built without the net) and a plain chain for one realization.
+trace's timestamp order for the lower bound (:func:`events.trace_lattice`,
+the behavior net's reachability graph built without the net) and a plain
+chain for one realization.
 One forward DP in topological order of the trace side fills two tables of
 trace node x model state: ``pre`` after the move that consumed the node's
 in-edge, ``post`` after the model moves that follow. This is a uniform-cost
@@ -23,9 +24,12 @@ to the nearest state with ``pre == post``, ties going to the in-edge listed
 first (source state, then transition id); the transfer before it is a
 synchronous move, else a trace-side skip, else a log move.
 
-The upper bound lists realizations and aligns each one; the lower bound is
-one search over the lattice. Memory is linear in the model's edges plus
-the two tables, which :data:`PRODUCT_CAP` bounds.
+The lower bound is one search over the lattice; the upper bound walks the
+same lattice (:func:`events.linear_words`) to list the realizations and
+aligns each one. :func:`log_bounds` builds each trace's lattice once for
+both. Memory is linear in the model's edges plus the two tables, which
+:data:`PRODUCT_CAP` bounds; :data:`events.STATE_CAP` bounds the model's
+states and each lattice.
 """
 from __future__ import annotations
 
@@ -37,13 +41,11 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
+from . import events
 from .errors import CapExceeded, ValidationError
-from .events import EnumerationCaps, UncertainLog, UncertainTrace, _by_id, iter_realizations, order_ideals
+from .events import EnumerationCaps, Lattice, UncertainLog, UncertainTrace, iter_realizations, trace_lattice
 from .petri import Marking, SystemNet, _fire_unchecked
 
-#: States explored per model, and order ideals per trace, before giving up
-#: (guards unbounded nets and wide traces).
-STATE_CAP = 200_000
 #: Cells (trace-side states x model states) of one alignment's two float64 tables.
 PRODUCT_CAP = 30_000_000
 
@@ -149,8 +151,8 @@ class ReachabilityGraph:
                     continue
                 nxt = _fire_unchecked(net, marking, t)
                 if nxt not in index:
-                    if len(nodes) >= STATE_CAP:
-                        raise CapExceeded(f"reachability exploration exceeded the state cap ({STATE_CAP})")
+                    if len(nodes) >= events.STATE_CAP:
+                        raise CapExceeded(f"reachability exploration exceeded the state cap ({events.STATE_CAP})")
                     index[nxt] = len(nodes)
                     nodes.append(nxt)
                 out.append((t, net.label(t), index[nxt]))
@@ -406,42 +408,27 @@ def optimal_alignment(
     return _witness(_chain(trace), len(trace), *_sequence_cost(trace, moves, cost), moves, cost)
 
 
-def _trace_side(trace: UncertainTrace) -> list[list[tuple[int, str | None, str]]]:
-    """In-edges (source, label, transition id) of the trace's lattice of order ideals.
-
-    The edges are listed in the behavior net's transition-id order (``e:a``
-    places event e with label a, ``e:tau`` skips it), so nodes are numbered,
-    and in-edges listed, exactly as in the net's reachability graph: the
-    witness's tie-breaks stay those of the paper's construction. The event
-    index keeps apart two events that spell the same id.
-    """
-    events, preds = _by_id(trace, None)
-    steps = sorted(
-        (f"{e.id}:{TAU_MARKER if a is None else a}", i, a)
-        for i, e in enumerate(events)
-        for a in ((*e.activities, None) if e.indeterminate else e.activities)
-    )
-    message = f"trace {trace.case_id!r} has more order ideals than the state cap ({STATE_CAP})"
-    out = order_ideals(preds, [(i, a) for _, i, a in steps], STATE_CAP, message)
-    tids = {(i, a): tid for tid, i, a in steps}
-    into: list[list[tuple[int, str | None, str]]] = [[] for _ in out]
-    for src, edges in enumerate(out):
+def _trace_side(lattice: Lattice) -> list[list[tuple[int, str | None, int]]]:
+    """In-edges (source, label, event index) of a lattice given by its out-edges."""
+    into: list[list[tuple[int, str | None, int]]] = [[] for _ in lattice]
+    for src, edges in enumerate(lattice):
         for i, a, dst in edges:
-            into[dst].append((src, a, tids[i, a]))
+            into[dst].append((src, a, i))
     return into
 
 
 def lower_bound(
-    trace: UncertainTrace, model: SystemNet, cost: CostFunction = STANDARD_COST
+    trace: UncertainTrace, model: SystemNet, cost: CostFunction = STANDARD_COST, lattice: Lattice | None = None
 ) -> tuple[int, Alignment]:
     """Best-case conformance cost over all realizations, with a witness.
 
     One search over the product of the trace's lattice of order ideals and
     the model; the witness's log projection is the realization achieving the
-    minimum.
+    minimum. ``lattice`` is the trace's :func:`events.trace_lattice`, built
+    here when not given.
     """
     moves = _model_structures(model, cost)
-    in_edges = _trace_side(trace)
+    in_edges = _trace_side(trace_lattice(trace) if lattice is None else lattice)
     pre, post = _forward(range(len(in_edges)), in_edges, moves, cost)
     alignment = _witness(in_edges, len(in_edges) - 1, pre, post, moves, cost)
     return alignment.cost, alignment
@@ -463,16 +450,17 @@ def lower_bound_bruteforce(
 
 
 def _costliest_realization(
-    trace: UncertainTrace, moves: _ModelMoves, cost: CostFunction, caps: EnumerationCaps | None
+    trace: UncertainTrace, lattice: Lattice, moves: _ModelMoves, cost: CostFunction,
+    caps: EnumerationCaps | None,
 ) -> tuple[int, Alignment]:
     """Realization count and the witness of the first costliest realization
-    in lexicographic order.
+    in lexicographic order, from a walk over the trace's ``lattice``.
 
     The realizations are listed before any is aligned, so a trace over the
     realization cap costs no alignment. Each realization is aligned once; the
     tables of the costliest one so far are kept for its witness.
     """
-    seqs = list(iter_realizations(trace, caps))
+    seqs = list(iter_realizations(trace, caps, lattice))
     worst = -np.inf
     for seq in seqs:
         tables = _sequence_cost(seq, moves, cost)
@@ -494,7 +482,7 @@ def upper_bound(
     witness aligns the first realization attaining the maximum in
     lexicographic order of activity sequences.
     """
-    _, alignment = _costliest_realization(trace, _model_structures(model, cost), cost, caps)
+    _, alignment = _costliest_realization(trace, trace_lattice(trace), _model_structures(model, cost), cost, caps)
     return alignment.cost, alignment
 
 
@@ -546,9 +534,10 @@ def log_bounds(
 ) -> LogBounds:
     """Bounds for each trace; per-trace cap errors are recorded, not fatal.
 
-    When only the (enumeration-bound) upper side caps, the lower bound is
-    still reported. Both totals sum the same traces: those whose upper bound
-    was computed. A capped row counts in neither.
+    Each trace's lattice of order ideals is built once and serves both
+    bounds. When only the (enumeration-bound) upper side caps, the lower
+    bound is still reported. Both totals sum the same traces: those whose
+    upper bound was computed. A capped row counts in neither.
     """
     moves = _model_structures(model, cost)
     reports: list[BoundsReport] = []
@@ -558,8 +547,9 @@ def log_bounds(
         low: int | None = None
         low_witness: Alignment | None = None
         try:
-            low, low_witness = lower_bound(trace, model, cost)
-            count, up_witness = _costliest_realization(trace, moves, cost, caps)
+            lattice = trace_lattice(trace)
+            low, low_witness = lower_bound(trace, model, cost, lattice)
+            count, up_witness = _costliest_realization(trace, lattice, moves, cost, caps)
         except CapExceeded as exc:
             reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
             continue

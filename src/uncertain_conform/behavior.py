@@ -5,7 +5,7 @@ precedence DAG induced by the timestamp intervals; its topological sortings
 are exactly the trace's order-realizations. The behavior net is a Petri net
 that replays all and only the trace's realizations; its reachable markings
 are the order ideals of the timestamp order, which the bounds search
-directly (:func:`events.order_ideals`). Both are kept as checked constructs.
+directly (:func:`events.trace_lattice`). Both are kept as checked constructs.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .errors import CapExceeded, ValidationError
-from .events import EnumerationCaps, UncertainEvent, UncertainTrace, linear_words
+from .errors import ValidationError
+from .events import EnumerationCaps, UncertainEvent, UncertainTrace, _ideals, linear_words
 from .petri import Marking, PetriNet, SystemNet
 
 START = "start"
@@ -103,15 +103,16 @@ def behavior_graph(trace: UncertainTrace) -> BehaviorGraph:
 def topological_sortings(
     bg: BehaviorGraph, caps: EnumerationCaps | None = None
 ) -> list[tuple[str, ...]]:
-    """All topological sortings of the behavior graph, in lexicographic order."""
+    """All topological sortings of the behavior graph, in lexicographic order.
+
+    The realization cap counts sortings; the state cap bounds the lattice walked."""
     caps = caps or EnumerationCaps.from_env()
     vertices = sorted(bg.events)
-    if len(vertices) > caps.max_events:
-        raise CapExceeded(f"graph has {len(vertices)} vertices, over the enumeration cap ({caps.max_events})")
     bit = {v: 1 << i for i, v in enumerate(vertices)}
     preds = [sum(bit[u] for u, w in bg.edges if w == v) for v in vertices]
+    lattice = _ideals(preds, list(enumerate(vertices)), "graph")
     message = f"graph has more sortings than the sorting cap ({caps.max_realizations})"
-    return list(linear_words(preds, [(v,) for v in vertices], caps.max_realizations, message))
+    return list(linear_words(lattice, caps.max_realizations, message))
 
 
 def behavior_net(trace: UncertainTrace) -> SystemNet:

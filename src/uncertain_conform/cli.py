@@ -10,13 +10,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
 from .align import STANDARD_COST, log_bounds
 from .errors import CapExceeded, ValidationError
-from .events import CAP_ENV_VAR, EnumerationCaps
+from .events import EnumerationCaps
 from .experiments import (
     DEVIATION_PRESETS,
     UNCERTAINTY_KINDS,
@@ -38,7 +37,10 @@ def _write_csv(rows: list[dict], fieldnames: list[str], out: str | None) -> None
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    text = buffer.getvalue()
+    _write(buffer.getvalue(), out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -70,59 +72,30 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValidationError(f"{flag}: {exc}") from exc
 
 
-def _experiment_caps() -> EnumerationCaps | None:
-    """Env-var caps when set, else the experiment defaults chosen by the runners."""
-    return EnumerationCaps.from_env() if os.environ.get(CAP_ENV_VAR) else None
-
-
 def cmd_bounds(args) -> int:
     caps = EnumerationCaps.from_env()
     log = load_log(args.log, format=args.format)
     model = load_net(args.net)
     result = log_bounds(log, model, STANDARD_COST, caps)
-    capped = any(r.error is not None for r in result.reports)
+    exit_code = EXIT_CAP if any(r.error is not None for r in result.reports) else EXIT_OK
     if args.json:
         doc = {
             "reports": [r.as_dict() for r in result.reports],
             "total_lower": result.total_lower,
             "total_upper": result.total_upper,
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-        return EXIT_CAP if capped else EXIT_OK
+        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        return exit_code
+    fields = ["lower_cost", "upper_cost", "realization_count"]
+    # A capped report leaves its missing fields None; they print as "capped".
     rows = []
-    for report in result.reports:
-        if report.error is None:
-            rows.append(
-                {
-                    "case_id": report.case_id,
-                    "lower_cost": report.lower_cost,
-                    "upper_cost": report.upper_cost,
-                    "realization_count": report.realization_count,
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "case_id": report.case_id,
-                    "lower_cost": report.lower_cost if report.lower_cost is not None else "capped",
-                    "upper_cost": "capped",
-                    "realization_count": "capped",
-                }
-            )
-    rows.append(
-        {
-            "case_id": "total",
-            "lower_cost": result.total_lower,
-            "upper_cost": result.total_upper,
-            "realization_count": "",
-        }
-    )
-    _write_csv(rows, ["case_id", "lower_cost", "upper_cost", "realization_count"], args.out)
-    return EXIT_CAP if capped else EXIT_OK
+    for r in result.reports:
+        values = (r.lower_cost, r.upper_cost, r.realization_count)
+        rows.append({"case_id": r.case_id, **{f: "capped" if v is None else v for f, v in zip(fields, values)}})
+    rows.append({"case_id": "total", "lower_cost": result.total_lower, "upper_cost": result.total_upper,
+                 "realization_count": ""})
+    _write_csv(rows, ["case_id", *fields], args.out)
+    return exit_code
 
 
 def cmd_gen(args) -> int:
@@ -148,7 +121,7 @@ def cmd_exp_divergence(args) -> int:
         uncertainty_names=tuple(args.uncertainty_config),
         seed=str(args.seed),
     )
-    rows = run_divergence(spec, _experiment_caps())
+    rows = run_divergence(spec)
     _write_csv(rows, ["p", "deviation_config", "uncertainty_config", "mean_lower", "mean_upper"], args.out)
     return EXIT_OK
 
@@ -161,7 +134,7 @@ def cmd_exp_performance(args) -> int:
         ps=(args.p,),
         seed=str(args.seed),
     )
-    rows = run_performance(spec, p=args.p, uncertainty_name=args.uncertainty_config, caps=_experiment_caps())
+    rows = run_performance(spec, p=args.p, uncertainty_name=args.uncertainty_config)
     for row in rows:
         if row["mean_seconds"] != "timeout":
             row["mean_seconds"] = f"{row['mean_seconds']:.6f}"
@@ -177,9 +150,7 @@ def cmd_exp_realizations(args) -> int:
         ps=_parse_float_list(args.ps, "--ps"),
         seed=str(args.seed),
     )
-    rows = run_realizations(
-        spec, sweep=args.sweep, uncertainty_name=args.uncertainty_config, caps=_experiment_caps()
-    )
+    rows = run_realizations(spec, sweep=args.sweep, uncertainty_name=args.uncertainty_config)
     _write_csv(rows, ["x", "mean_realizations"], args.out)
     return EXIT_OK
 
@@ -260,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             args.uncertainty_config = ["indeterminate"]
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:

@@ -6,12 +6,13 @@ happened at all). Timestamps are integers (nanoseconds since the epoch);
 only their total order matters here.
 
 A trace's state space is the lattice of order ideals of its timestamp order
-(:func:`order_ideals`): the reachability graph of its behavior net, built
-without the net. The lower bound searches it; :func:`linear_words`
-determinizes it to list the distinct words of the linear extensions, each
-once and in lexicographic order. Orderings (each event emits its id),
-behavior-graph sortings and realizations (each event emits one of its
-labels, or nothing when indeterminate) all come from that walk.
+(:func:`trace_lattice`): the reachability graph of its behavior net, built
+without the net and capped by :data:`STATE_CAP`. The lower bound searches
+it; :func:`linear_words` determinizes it to list the distinct words of the
+linear extensions, each once and in lexicographic order. Realizations (each
+event emits one of its labels, or nothing when indeterminate), orderings
+(each event emits its id) and behavior-graph sortings all come from that
+walk over a capped lattice.
 """
 from __future__ import annotations
 
@@ -22,21 +23,27 @@ from dataclasses import dataclass
 from .errors import CapExceeded, ValidationError
 from .petri import RESERVED_LABELS
 
-#: Environment variable overriding enumeration caps: "EVENTS" or "EVENTS,REALIZATIONS".
+#: Environment variable overriding the realization cap: "N,REALIZATIONS".
+#: The older form "N" is still accepted; N must be at least 1 and caps nothing.
 CAP_ENV_VAR = "UNCERTAIN_CONFORM_CAP"
+
+#: States explored per model, and order ideals per lattice, before giving up
+#: (guards unbounded nets and wide traces). Read at call time.
+STATE_CAP = 200_000
+
+#: A lattice of order ideals by its out-edges: per node, (element, symbol, target).
+Lattice = list[list[tuple[int, str | None, int]]]
 
 
 @dataclass(frozen=True)
 class EnumerationCaps:
     """Limits for realization enumeration; exceeding one raises CapExceeded."""
 
-    max_events: int = 12
     max_realizations: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("max_events", "max_realizations"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_realizations < 1:
+            raise ValidationError(f"max_realizations must be at least 1, got {self.max_realizations}")
 
     @classmethod
     def from_env(cls) -> "EnumerationCaps":
@@ -44,15 +51,16 @@ class EnumerationCaps:
         raw = os.environ.get(CAP_ENV_VAR)
         if not raw:
             return cls()
-        parts = raw.split(",")
         try:
-            values = [int(p) for p in parts]
+            values = [int(p) for p in raw.split(",")]
         except ValueError:
             values = []
         if len(values) not in (1, 2):
-            raise ValidationError(f"{CAP_ENV_VAR} must be an integer or 'events,realizations': {raw!r}")
+            raise ValidationError(f"{CAP_ENV_VAR} must be an integer or 'N,realizations': {raw!r}")
         try:
-            return cls(*values)
+            if values[0] < 1:
+                raise ValidationError(f"N must be at least 1, got {values[0]}")
+            return cls(*values[1:])
         except ValidationError as exc:
             raise ValidationError(f"{CAP_ENV_VAR}={raw!r}: {exc}") from exc
 
@@ -158,8 +166,8 @@ def precedes(e: UncertainEvent, e2: UncertainEvent) -> bool:
 
 
 def order_ideals(
-    preds: Sequence[int], steps: Sequence[tuple[int, str | None]], cap: int | None = None, cap_message: str = ""
-) -> list[list[tuple[int, str | None, int]]]:
+    preds: Sequence[int], steps: Sequence[tuple[int, str | None]], cap: int, cap_message: str
+) -> Lattice:
     """Out-edges of the lattice of order ideals of a strict partial order.
 
     Element i may be placed once every element of the bitmask ``preds[i]`` is;
@@ -173,14 +181,14 @@ def order_ideals(
     moves = [(1 << i, preds[i], i, symbol) for i, symbol in steps]
     index = {0: 0}
     masks = [0]
-    out: list[list[tuple[int, str | None, int]]] = []
+    out: Lattice = []
     for placed in masks:  # a BFS queue: the loop reaches the masks appended in it
         edges = []
         for bit, p, i, symbol in moves:
             if placed & bit or p & placed != p:
                 continue
             if (nxt := placed | bit) not in index:
-                if cap is not None and len(masks) >= cap:
+                if len(masks) >= cap:
                     raise CapExceeded(cap_message)
                 index[nxt] = len(masks)
                 masks.append(nxt)
@@ -189,29 +197,31 @@ def order_ideals(
     return out
 
 
-def linear_words(
-    preds: Sequence[int], emits: Sequence[Sequence[str | None]], cap: int, cap_message: str
-) -> Iterator[tuple[str, ...]]:
-    """The distinct words spelled by the linear extensions of a strict partial order.
+def _ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], owner: str) -> Lattice:
+    """:func:`order_ideals` under :data:`STATE_CAP`; the error names ``owner``."""
+    return order_ideals(preds, steps, STATE_CAP, f"{owner} has more order ideals than the state cap ({STATE_CAP})")
 
-    Element i may be placed once every element of the bitmask ``preds[i]`` is
-    placed, and it then emits one symbol of ``emits[i]``; None emits nothing.
-    A word is spelled when every element is placed.
 
-    Each walk node is the set of lattice nodes (:func:`order_ideals`) that
-    some run spelling the node's prefix can reach, closed under None steps (a
-    subset construction). Children follow in sorted symbol order and a word
-    comes before its extensions, so each distinct word is visited once, in
-    lexicographic order. Raises CapExceeded with ``cap_message`` when more
-    than ``cap`` words are spelled.
+def linear_words(lattice: Lattice, cap: int, cap_message: str) -> Iterator[tuple[str, ...]]:
+    """The distinct words spelled by the maximal paths of an ideal lattice.
+
+    ``lattice`` holds out-edges as :func:`order_ideals` returns them: every
+    path from the empty ideal to the full one places each element once, and
+    spells the symbols of its edges; a None symbol spells nothing.
+
+    Each walk node is the set of lattice nodes that some path spelling the
+    node's prefix can reach, closed under None steps (a subset construction).
+    Children follow in sorted symbol order and a word comes before its
+    extensions, so each distinct word is visited once, in lexicographic
+    order. Raises CapExceeded with ``cap_message`` when more than ``cap``
+    words are spelled.
     """
-    out = order_ideals(preds, [(i, symbol) for i, e in enumerate(emits) for symbol in e])
-    full = len(out) - 1
+    full = len(lattice) - 1
 
     def close(node: set[int]) -> set[int]:
         todo = list(node)
         while todo:
-            for _, symbol, nxt in out[todo.pop()]:
+            for _, symbol, nxt in lattice[todo.pop()]:
                 if symbol is None and nxt not in node:
                     node.add(nxt)
                     todo.append(nxt)
@@ -228,23 +238,38 @@ def linear_words(
             yield word
         children: dict[str, set[int]] = {}
         for v in node:
-            for _, symbol, nxt in out[v]:
+            for _, symbol, nxt in lattice[v]:
                 if symbol is not None:
                     children.setdefault(symbol, set()).add(nxt)
         for symbol in sorted(children, reverse=True):
             stack.append((word + (symbol,), close(children[symbol])))
 
 
-def _by_id(trace: UncertainTrace, caps: EnumerationCaps | None) -> tuple[list[UncertainEvent], list[int]]:
-    """The trace's events sorted by id and each one's predecessors as a bitmask.
-    ``caps`` None skips the event cap (the lower bound caps its states)."""
-    if caps is not None and len(trace) > caps.max_events:
-        raise CapExceeded(
-            f"trace {trace.case_id!r} has {len(trace)} events, over the enumeration cap ({caps.max_events})"
-        )
+def _by_id(trace: UncertainTrace) -> tuple[list[UncertainEvent], list[int]]:
+    """The trace's events sorted by id and each one's predecessors as a bitmask."""
     events = sorted(trace.events, key=lambda e: e.id)
     preds = [sum(1 << i for i, p in enumerate(events) if precedes(p, e)) for e in events]
     return events, preds
+
+
+def trace_lattice(trace: UncertainTrace) -> Lattice:
+    """Out-edges (event index, label or None, target) of the trace's lattice
+    of order ideals, under :data:`STATE_CAP`.
+
+    Events are indexed in id order. An edge places its event with one label,
+    or skips an indeterminate event (None). Edges are listed in the behavior
+    net's transition-id order (``e:a``, ``e:tau``), so nodes are numbered
+    exactly as the net's reachable markings and the search's tie-breaks stay
+    those of the paper's construction; two events that spell the same
+    transition id stay apart by their index.
+    """
+    events, preds = _by_id(trace)
+    steps = sorted(
+        (f"{e.id}:{'tau' if a is None else a}", i, a)
+        for i, e in enumerate(events)
+        for a in ((*e.activities, None) if e.indeterminate else e.activities)
+    )
+    return _ideals(preds, [(i, a) for _, i, a in steps], f"trace {trace.case_id!r}")
 
 
 def order_realizations(
@@ -253,25 +278,25 @@ def order_realizations(
     """All event-id permutations that are linear extensions of the timestamp
     order, in lexicographic order. The realization cap counts orderings."""
     caps = caps or EnumerationCaps.from_env()
-    events, preds = _by_id(trace, caps)
+    events, preds = _by_id(trace)
+    lattice = _ideals(preds, [(i, e.id) for i, e in enumerate(events)], f"trace {trace.case_id!r}")
     message = f"trace {trace.case_id!r} has more orderings than the realization cap ({caps.max_realizations})"
-    return list(linear_words(preds, [(e.id,) for e in events], caps.max_realizations, message))
+    return list(linear_words(lattice, caps.max_realizations, message))
 
 
 def iter_realizations(
-    trace: UncertainTrace, caps: EnumerationCaps | None = None
+    trace: UncertainTrace, caps: EnumerationCaps | None = None, lattice: Lattice | None = None
 ) -> Iterator[tuple[str, ...]]:
     """Distinct realizations, in lexicographic order of activity sequences.
 
     Each event emits one of its labels where it is placed; an indeterminate
-    event may also emit nothing. The realization cap counts distinct
-    realizations.
+    event may also emit nothing. The walk runs over ``lattice``, the trace's
+    :func:`trace_lattice`, built here when not given. The realization cap
+    counts distinct realizations.
     """
     caps = caps or EnumerationCaps.from_env()
-    events, preds = _by_id(trace, caps)
-    emits = [(*e.activities, None) if e.indeterminate else e.activities for e in events]
     message = f"trace {trace.case_id!r} exceeds the realization cap ({caps.max_realizations})"
-    return linear_words(preds, emits, caps.max_realizations, message)
+    return linear_words(trace_lattice(trace) if lattice is None else lattice, caps.max_realizations, message)
 
 
 def realizations(trace: UncertainTrace, caps: EnumerationCaps | None = None) -> set[tuple[str, ...]]:

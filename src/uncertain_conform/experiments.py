@@ -13,12 +13,8 @@ from statistics import mean
 
 from .align import STANDARD_COST, lower_bound, lower_bound_bruteforce, log_bounds, prepare_model
 from .errors import CapExceeded, ValidationError
-from .events import EnumerationCaps, count_realizations
+from .events import count_realizations
 from .synthesis import DeviationConfig, UncertaintyConfig, deviate, playout, random_block_net, uncertainize
-
-#: Experiment-grade caps: deviation injection grows traces past the everyday
-#: 12-event default, and the realization cap is the guard that matters here.
-EXPERIMENT_CAPS = EnumerationCaps(max_events=64, max_realizations=1_000_000)
 
 #: Named deviation presets (30% per affected kind, matching the experiment setup).
 DEVIATION_PRESETS: dict[str, DeviationConfig] = {
@@ -79,13 +75,12 @@ def _base_log(spec: ExperimentSpec, size: int, deviation_name: str, rep: int):
     return model, universe, log, cell_seed
 
 
-def run_divergence(spec: ExperimentSpec, caps: EnumerationCaps | None = None) -> list[dict]:
+def run_divergence(spec: ExperimentSpec) -> list[dict]:
     """Mean lower/upper bound per (deviation, uncertainty, p) cell.
 
     Rows: p, deviation_config, uncertainty_config, mean_lower, mean_upper.
     Capped traces are skipped inside a repetition; a fully capped cell fails.
     """
-    caps = EXPERIMENT_CAPS if caps is None else caps
     rows = []
     for deviation_name in spec.deviation_names:
         for uncertainty_name in spec.uncertainty_names:
@@ -95,7 +90,7 @@ def run_divergence(spec: ExperimentSpec, caps: EnumerationCaps | None = None) ->
                 for rep in range(spec.repetitions):
                     model, universe, log, cell_seed = _base_log(spec, spec.net_sizes[0], deviation_name, rep)
                     uncertain = uncertainize(log, uncertainty_config(uncertainty_name, p), universe, cell_seed)
-                    result = log_bounds(uncertain, model, STANDARD_COST, caps)
+                    result = log_bounds(uncertain, model, STANDARD_COST)
                     done = [r for r in result.reports if r.error is None]
                     if not done:
                         raise CapExceeded(
@@ -116,10 +111,7 @@ def run_divergence(spec: ExperimentSpec, caps: EnumerationCaps | None = None) ->
     return rows
 
 
-def run_performance(
-    spec: ExperimentSpec, p: float = 0.05, uncertainty_name: str = "all",
-    caps: EnumerationCaps | None = None,
-) -> list[dict]:
+def run_performance(spec: ExperimentSpec, p: float = 0.05, uncertainty_name: str = "all") -> list[dict]:
     """Wall-clock comparison of the one-search and brute-force lower bounds.
 
     The one search runs over the behavior net's state space (the lattice of
@@ -128,7 +120,6 @@ def run_performance(
     averaged over repetitions). Costs must agree on every trace; a brute-force
     cap marks the row "timeout" instead of aborting.
     """
-    caps = EXPERIMENT_CAPS if caps is None else caps
     rows = []
     for size in spec.net_sizes:
         behavior_times: list[float] = []
@@ -144,7 +135,7 @@ def run_performance(
                 behavior_times.append(time.perf_counter() - start)
                 try:
                     start = time.perf_counter()
-                    brute_cost = lower_bound_bruteforce(trace, model, STANDARD_COST, caps)
+                    brute_cost = lower_bound_bruteforce(trace, model, STANDARD_COST)
                     brute_times.append(time.perf_counter() - start)
                 except CapExceeded:
                     timed_out = True
@@ -165,10 +156,7 @@ def run_performance(
     return rows
 
 
-def run_realizations(
-    spec: ExperimentSpec, sweep: str = "p", uncertainty_name: str = "all",
-    caps: EnumerationCaps | None = None,
-) -> list[dict]:
+def run_realizations(spec: ExperimentSpec, sweep: str = "p", uncertainty_name: str = "all") -> list[dict]:
     """Total realization count per log, averaged over repetitions.
 
     Rows: x, mean_realizations, where x sweeps p (at the first net size) or
@@ -181,13 +169,12 @@ def run_realizations(
     else:
         raise ValidationError(f"unknown sweep {sweep!r} (expected 'p' or 'size')")
 
-    caps = EXPERIMENT_CAPS if caps is None else caps
     rows = []
     for size, p in points:
         counts: list[int] = []
         for rep in range(spec.repetitions):
             model, universe, log, cell_seed = _base_log(spec, size, "none", rep)
             uncertain = uncertainize(log, uncertainty_config(uncertainty_name, p), universe, cell_seed)
-            counts.append(count_realizations(uncertain, caps))
+            counts.append(count_realizations(uncertain))
         rows.append({"x": p if sweep == "p" else size, "mean_realizations": mean(counts)})
     return rows

@@ -107,37 +107,57 @@ def log_to_dict(log: UncertainLog) -> dict:
     }
 
 
-def _event_from_dict(raw: dict, context: str) -> UncertainEvent:
+def _json_type(value) -> str:
+    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+    return names.get(type(value), "a number")
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it decoded to the JSON type ``kind``, else a ValidationError naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} is {_json_type(value)}, not {_json_type(kind())}")
+    return value
+
+
+def _event_from_dict(raw, context: str, position: int) -> UncertainEvent:
+    raw = _expect(raw, dict, f"{context}: event {position}")
     try:
         event_id = raw["id"]
         activities = raw["activities"]
-        t_min = parse_timestamp(raw["t_min"])
-        t_max = parse_timestamp(raw["t_max"])
+        stamps = {key: raw[key] for key in ("t_min", "t_max")}
     except KeyError as exc:
         raise ValidationError(f"{context}: event is missing field {exc.args[0]!r}") from exc
+    where = f"{context}: event {event_id!r}"
     if not isinstance(activities, list) or not activities:
-        raise ValidationError(f"{context}: event {event_id!r} needs a nonempty activity list")
+        raise ValidationError(f"{where} needs a nonempty activity list")
+    try:
+        t_min, t_max = (parse_timestamp(_expect(stamp, str, repr(key))) for key, stamp in stamps.items())
+        indeterminate = _expect(raw.get("indeterminate", False), bool, "'indeterminate'")
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
     return UncertainEvent(
         id=str(event_id),
         activities=frozenset(str(a) for a in activities),
         t_min=t_min,
         t_max=t_max,
-        indeterminate=bool(raw.get("indeterminate", False)),
+        indeterminate=indeterminate,
     )
 
 
 def log_from_dict(doc: dict) -> UncertainLog:
-    if "traces" not in doc:
+    if "traces" not in _expect(doc, dict, "log document"):
         raise ValidationError("log document has no 'traces' field")
     unknown = 0
     traces = []
-    for i, raw_trace in enumerate(doc["traces"]):
+    for i, raw_trace in enumerate(_expect(doc["traces"], list, "log field 'traces'")):
+        raw_trace = _expect(raw_trace, dict, f"trace {i}")
         case_id = str(raw_trace.get("case_id", f"case{i}"))
         context = f"trace {case_id!r}"
-        events = [_event_from_dict(raw, context) for raw in raw_trace.get("events", [])]
+        raw_events = _expect(raw_trace.get("events", []), list, f"{context}: 'events'")
+        events = [_event_from_dict(raw, context, j) for j, raw in enumerate(raw_events)]
         unknown += sum(
             1
-            for raw in raw_trace.get("events", [])
+            for raw in raw_events
             for key in raw
             if key not in {"id", "activities", "t_min", "t_max", "indeterminate"}
         )
@@ -292,6 +312,7 @@ def net_to_dict(sn: SystemNet) -> dict:
 
 
 def net_from_dict(doc: dict) -> SystemNet:
+    doc = _expect(doc, dict, "net document")
     try:
         places = list(doc["places"])
         raw_transitions = list(doc["transitions"])

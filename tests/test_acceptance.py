@@ -31,7 +31,7 @@ from uncertain_conform import (
 from uncertain_conform.experiments import ExperimentSpec, run_divergence, run_performance, run_realizations
 
 THEOREM_SUITE = settings(max_examples=200, deadline=None, derandomize=True)
-SMALL_CAPS = EnumerationCaps(max_events=12, max_realizations=5_000)
+SMALL_CAPS = EnumerationCaps(max_realizations=5_000)
 
 
 def _bounded_realizations(trace):

@@ -7,7 +7,7 @@ from helpers import alignment_cost_by_language
 
 from test_events import running_example
 
-from uncertain_conform import align
+from uncertain_conform import align, events
 from uncertain_conform import (
     BoundsReport,
     CapExceeded,
@@ -280,6 +280,23 @@ class TestLogBounds:
         assert "realization cap" in result.reports[0].error
         assert calls == []
 
+    def test_thirteen_events_with_four_realizations_fit(self):
+        # Two pairs of events share a timestamp: 13 events, four realizations.
+        stamps = [0, 0, 2, 3, 4, 5, 6, 7, 8, 8, 10, 11, 12]
+        trace = UncertainTrace("long", tuple(certain_event(f"e{i:02}", "ab"[i % 2], t) for i, t in enumerate(stamps)))
+        result = log_bounds(UncertainLog((trace,)), event_net(["a"]))
+        assert result.reports[0].error is None
+        assert result.reports[0].realization_count == 4
+
+    def test_builds_each_trace_lattice_once(self, monkeypatch):
+        calls = []
+        real = align.trace_lattice
+        monkeypatch.setattr(align, "trace_lattice", lambda trace: calls.append(trace.case_id) or real(trace))
+        log = UncertainLog((running_example(), UncertainTrace("c", (certain_event("s", "Adm", 1),))))
+        result = log_bounds(log, event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"]))
+        assert calls == ["ID192", "c"]
+        assert [r.realization_count for r in result.reports] == [10, 1]
+
 
 class TestProductCap:
     def test_cap_checked_before_the_tables_are_allocated(self, monkeypatch):
@@ -302,9 +319,9 @@ class TestStateCap:
     def test_trace_lattice_over_the_cap(self, monkeypatch):
         model = event_net(["a"])  # 2 states
         wide = UncertainTrace("wide", tuple(UncertainEvent(f"e{i}", frozenset({"a"}), 0, 9) for i in range(3)))  # 8 ideals
-        monkeypatch.setattr(align, "STATE_CAP", 8)
+        monkeypatch.setattr(events, "STATE_CAP", 8)
         assert lower_bound(wide, model)[0] == 2
-        monkeypatch.setattr(align, "STATE_CAP", 7)
+        monkeypatch.setattr(events, "STATE_CAP", 7)
         with pytest.raises(CapExceeded, match=r"trace 'wide'.*state cap \(7\)"):
             lower_bound(wide, model)
         small = UncertainTrace("small", (certain_event("s", "a", 1),))

@@ -5,7 +5,7 @@ import json
 
 from helpers import DATA_DIR
 
-from uncertain_conform import align
+from uncertain_conform import align, events
 from uncertain_conform.cli import main
 from uncertain_conform.events import CAP_ENV_VAR
 
@@ -57,6 +57,30 @@ class TestBounds:
         bad.write_text("{]")
         code = main(["bounds", "--log", str(bad), "--net", str(DATA_DIR / "icu_net.json")])
         assert code == 1
+
+    def test_wrong_typed_field_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"traces": [{"case_id": "c", "events": [
+            {"id": "e1", "activities": ["a"], "t_min": "1970-01-01T00:00:00Z", "t_max": "1970-01-01T00:00:00Z",
+             "indeterminate": "false"},
+        ]}]}))
+        code = main(["bounds", "--log", str(bad), "--net", str(DATA_DIR / "icu_net.json")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: trace 'c': event 'e1': 'indeterminate'")
+
+    def test_thirteen_event_trace_is_not_capped(self, tmp_path, capsys):
+        # Its case12 has 13 events and 4 realizations; an event cap of 12 once marked it capped.
+        log_path, net_path = tmp_path / "log.json", tmp_path / "net.json"
+        assert main([
+            "gen", "--net-size", "20", "--traces", "50", "--deviation", "0.1,0.1,0.1",
+            "--uncertainty", "0.05,0.05,0.05", "--seed", "7", "--out-log", str(log_path), "--out-net", str(net_path),
+        ]) == 0
+        code = main(["bounds", "--log", str(log_path), "--net", str(net_path)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "case12,3,4,4" in out
+        assert out[-1] == "total,80,113,"
 
     def test_cap_marks_rows_and_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "12,5")
@@ -138,7 +162,7 @@ class TestBounds:
         assert by_case["table6"]["upper_cost"] == by_case["table7"]["upper_cost"] == "capped"
 
     def test_state_cap_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(align, "STATE_CAP", 50)  # the ICU model has 94 states
+        monkeypatch.setattr(events, "STATE_CAP", 50)  # the ICU model has 94 states
         code = main(["bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(DATA_DIR / "icu_net.json")])
         assert code == 2
         assert "state cap" in capsys.readouterr().err

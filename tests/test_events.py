@@ -13,13 +13,16 @@ from uncertain_conform import (
     UncertainLog,
     UncertainTrace,
     ValidationError,
+    behavior_graph,
     certain_event,
     certain_view,
     count_realizations,
     order_realizations,
     precedes,
     realizations,
+    topological_sortings,
 )
+from uncertain_conform import events
 from uncertain_conform.events import CAP_ENV_VAR, iter_realizations
 
 DAY = 24 * 3600 * 10**9
@@ -139,42 +142,69 @@ class TestCountRealizations:
         events = tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 100, False) for i in range(9))
         log = UncertainLog((UncertainTrace("explosive", events),))
         with pytest.raises(CapExceeded, match="explosive"):
-            count_realizations(log, EnumerationCaps(max_events=12, max_realizations=50))
+            count_realizations(log, EnumerationCaps(max_realizations=50))
 
 
 class TestCaps:
-    def test_event_cap(self):
-        events = tuple(certain_event(f"e{i}", "a", i) for i in range(13))
-        with pytest.raises(CapExceeded):
-            order_realizations(UncertainTrace("c", events))
-
     def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv(CAP_ENV_VAR, "20")
-        caps = EnumerationCaps.from_env()
-        assert caps.max_events == 20 and caps.max_realizations == 1_000_000
+        monkeypatch.setenv(CAP_ENV_VAR, "20")  # the old event-cap form caps nothing
+        assert EnumerationCaps.from_env() == EnumerationCaps()
         monkeypatch.setenv(CAP_ENV_VAR, "20,500")
-        caps = EnumerationCaps.from_env()
-        assert caps.max_events == 20 and caps.max_realizations == 500
+        assert EnumerationCaps.from_env() == EnumerationCaps(max_realizations=500)
 
     def test_env_var_invalid(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "lots")
         with pytest.raises(ValidationError):
             EnumerationCaps.from_env()
 
-    @pytest.mark.parametrize("field", ["max_events", "max_realizations"])
+    @pytest.mark.parametrize("form", ["N", "max_realizations"])
     @pytest.mark.parametrize("value", [0, -1])
-    def test_cap_below_one_rejected(self, field, value):
-        with pytest.raises(ValidationError, match=field):
-            EnumerationCaps(**{field: value})
+    def test_cap_below_one_rejected(self, monkeypatch, form, value):
+        if form == "max_realizations":
+            with pytest.raises(ValidationError, match=form):
+                EnumerationCaps(max_realizations=value)
+        else:
+            monkeypatch.setenv(CAP_ENV_VAR, f"{value},5")
+            with pytest.raises(ValidationError, match="N must be at least 1"):
+                EnumerationCaps.from_env()
 
-    def test_cap_of_one_accepted(self):
-        assert EnumerationCaps(max_events=1, max_realizations=1).max_realizations == 1
+    def test_cap_of_one_accepted(self, monkeypatch):
+        assert EnumerationCaps(max_realizations=1).max_realizations == 1
+        monkeypatch.setenv(CAP_ENV_VAR, "1,1")
+        assert EnumerationCaps.from_env().max_realizations == 1
 
     @pytest.mark.parametrize("raw", ["-1", "0", "12,0", "12,-5"])
     def test_env_var_below_one_names_variable(self, monkeypatch, raw):
         monkeypatch.setenv(CAP_ENV_VAR, raw)
         with pytest.raises(ValidationError, match=CAP_ENV_VAR):
             EnumerationCaps.from_env()
+
+
+class TestStateCap:
+    """Every walk runs over a lattice capped by ``events.STATE_CAP``."""
+
+    WIDE = UncertainTrace("wide", tuple(UncertainEvent(f"e{i}", frozenset({"a"}), 0, 9) for i in range(4)))  # 16 ideals
+
+    @pytest.fixture(autouse=True)
+    def small_state_cap(self, monkeypatch):
+        monkeypatch.setattr(events, "STATE_CAP", 15)
+
+    def test_count_realizations(self):
+        with pytest.raises(CapExceeded, match=r"case 'wide'.*state cap \(15\)"):
+            count_realizations(UncertainLog((self.WIDE,)))
+
+    def test_order_realizations(self):
+        with pytest.raises(CapExceeded, match=r"trace 'wide'.*state cap \(15\)"):
+            order_realizations(self.WIDE)
+
+    def test_topological_sortings(self):
+        with pytest.raises(CapExceeded, match=r"state cap \(15\)"):
+            topological_sortings(behavior_graph(self.WIDE))
+
+    def test_lattice_at_the_cap_fits(self, monkeypatch):
+        monkeypatch.setattr(events, "STATE_CAP", 16)
+        assert count_realizations(UncertainLog((self.WIDE,))) == 1
+        assert len(order_realizations(self.WIDE)) == len(topological_sortings(behavior_graph(self.WIDE))) == 24
 
 
 class TestCertainView:

@@ -110,6 +110,38 @@ class TestJsonLog:
         with pytest.raises(ValidationError, match="malformed"):
             load_log(b"{not json", "json")
 
+    @staticmethod
+    def one_event(**fields) -> bytes:
+        event = {"id": "e1", "activities": ["a"], "t_min": "1970-01-01T00:00:00Z", "t_max": "1970-01-01T00:00:00Z"}
+        return json.dumps({"traces": [{"case_id": "c", "events": [{**event, **fields}]}]}).encode()
+
+    def test_indeterminate_string_rejected(self):
+        with pytest.raises(ValidationError, match="trace 'c': event 'e1': 'indeterminate' is a string, not a boolean"):
+            load_log(self.one_event(indeterminate="false"), "json")
+
+    @pytest.mark.parametrize("field", ["t_min", "t_max"])
+    def test_numeric_timestamp_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"trace 'c': event 'e1': '{field}' is a number, not a string"):
+            load_log(self.one_event(**{field: 5}), "json")
+
+    def test_malformed_timestamp_names_event(self):
+        with pytest.raises(ValidationError, match="trace 'c': event 'e1': not a UTC"):
+            load_log(self.one_event(t_max="yesterday"), "json")
+
+    def test_non_object_event_rejected(self):
+        doc = {"traces": [{"case_id": "c", "events": [5]}]}
+        with pytest.raises(ValidationError, match="trace 'c': event 0 is a number"):
+            load_log(json.dumps(doc).encode(), "json")
+
+    def test_string_document_rejected(self):
+        with pytest.raises(ValidationError, match="log document is a string"):
+            load_log(json.dumps("traces").encode(), "json")
+
+    @pytest.mark.parametrize("doc", [{"traces": 5}, {"traces": [5]}, {"traces": [{"case_id": "c", "events": 5}]}])
+    def test_wrong_typed_traces_rejected(self, doc):
+        with pytest.raises(ValidationError, match="is a number, not"):
+            load_log(json.dumps(doc).encode(), "json")
+
     def test_unknown_attributes_warn(self):
         doc = {"traces": [{"case_id": "c", "events": [
             {"id": "e", "activities": ["a"], "t_min": "1970-01-01T00:00:00Z",
@@ -232,6 +264,10 @@ class TestNetIo:
         }
         with pytest.raises(ValidationError):
             load_net(json.dumps(doc).encode())
+
+    def test_list_document_rejected(self):
+        with pytest.raises(ValidationError, match="net document is an array"):
+            load_net(b"[]")
 
     def test_null_label_means_invisible(self):
         doc = {
