@@ -10,10 +10,13 @@ trace node x model state: ``pre`` after the move that consumed the node's
 in-edge, ``post`` after the model moves that follow. This is a uniform-cost
 search in disguise: no heuristic, exact costs.
 
+The model's reachable markings are explored breadth-first as int32 rows of
+token counts, one layer at a time, and the graph is kept in flat arrays
+(:class:`ReachabilityGraph`); no ``Marking`` is built on this path.
 Model moves are relaxed over the model graph's own edges, filed under the
 longest-path level of their target: one ``np.minimum.at`` per level, in
 level order, closes a row in one sweep. A cyclic graph takes its levels from
-one pass in BFS order and is swept until nothing changes. A row made of
+its breadth-first depth and is swept until nothing changes. A row made of
 closed rows by log moves and trace-side skips is closed; a synchronous
 landing opens it only past its target, so a relax starts at the level after
 the shallowest synchronous target just reached, if any.
@@ -44,7 +47,7 @@ import numpy as np
 from . import events
 from .errors import CapExceeded, ValidationError
 from .events import EnumerationCaps, Lattice, UncertainLog, UncertainTrace, iter_realizations, trace_lattice
-from .petri import Marking, SystemNet, _fire_unchecked
+from .petri import SystemNet
 
 #: Cells (trace-side states x model states) of one alignment's two float64 tables.
 PRODUCT_CAP = 30_000_000
@@ -131,63 +134,118 @@ class Alignment:
         return {"cost": self.cost, "moves": [m.as_dict() for m in self.moves]}
 
 
+#: Frontier rows a :class:`ReachabilityGraph` expands at once; bounds its temporaries.
+_SLICE = 1024
+
+#: Most tokens the initial or final marking may put on one place. A firing adds
+#: at most one token to a place, and the search stops at :data:`events.STATE_CAP`
+#: layers, so the int32 counts cannot overflow.
+TOKEN_LIMIT = 2**30
+
+
 class ReachabilityGraph:
-    """Explicit reachable-marking graph of a system net (BFS order, deterministic)."""
+    """Reachable-marking graph of a system net, numbered in breadth-first order.
+
+    Markings are int32 rows of token counts over the sorted places. The search
+    expands one layer at a time: the layer's enabled (node, transition) pairs
+    are taken node-major, transition-minor, and each new row is numbered in
+    that order, as a FIFO search would. Edges are three flat arrays listed by
+    source: ``src``, ``tr`` (an index into ``transitions`` and ``labels``) and
+    ``dst``. ``level`` is each node's longest-path level, found by peeling
+    nodes without in-edges; a graph that does not peel is ``cyclic`` and takes
+    its breadth-first depth instead.
+    """
 
     def __init__(self, sn: SystemNet):
         net = sn.net
-        nodes: list[Marking] = [sn.initial_marking]
-        index: dict[Marking, int] = {sn.initial_marking: 0}
-        edges: list[list[tuple[str, str | None, int]]] = []
-        frontier = 0
-        order = net._sorted_transitions
-        presets = net._pre
-        while frontier < len(nodes):
-            marking = nodes[frontier]
-            counts = marking._counts  # zero counts are never stored
-            out: list[tuple[str, str | None, int]] = []
-            for t in order:
-                if not all(p in counts for p in presets[t]):
-                    continue
-                nxt = _fire_unchecked(net, marking, t)
-                if nxt not in index:
-                    if len(nodes) >= events.STATE_CAP:
-                        raise CapExceeded(f"reachability exploration exceeded the state cap ({events.STATE_CAP})")
-                    index[nxt] = len(nodes)
-                    nodes.append(nxt)
-                out.append((t, net.label(t), index[nxt]))
-            edges.append(out)
-            frontier += 1
+        column = {p: i for i, p in enumerate(sorted(net.places))}
+        self.transitions: tuple[str, ...] = net._sorted_transitions
+        self.labels: tuple[str | None, ...] = tuple(net.label(t) for t in self.transitions)
+        # Arcs form a set, so every preset weight is 1: t is enabled when all of
+        # its input places are marked.
+        pre = np.zeros((len(column), len(self.transitions)), np.float32)
+        delta = np.zeros((len(self.transitions), len(column)), np.int32)
+        for j, t in enumerate(self.transitions):
+            for p in net.preset(t):
+                pre[column[p], j] = 1
+                delta[j, column[p]] -= 1
+            for p in net.postset(t):
+                delta[j, column[p]] += 1
+        need = pre.sum(0)
 
-        self.edges = edges
-        self.n = len(nodes)
+        def row(name: str, marking) -> np.ndarray:
+            counts = np.zeros(len(column), np.int32)
+            for p, c in marking.items():
+                if c > TOKEN_LIMIT:
+                    raise ValidationError(f"{name} marking puts {c} tokens on {p!r}, over the limit ({TOKEN_LIMIT})")
+                counts[column[p]] = c
+            return counts
+
+        rows = row("initial", sn.initial_marking)[None, :]
+        index = {rows[0].tobytes(): 0}
+        width = rows.itemsize * len(column)
+        src, tr, dst, depth = [], [], [], []
+        done = 0
+        while done < len(index):
+            layer = len(index)
+            depth.append(layer - done)
+            for lo in range(done, layer, _SLICE):
+                block = rows[lo:min(lo + _SLICE, layer)]
+                fi, ti = ((block > 0) @ pre == need).nonzero()
+                succ = block.take(fi, 0) + delta.take(ti, 0)
+                buf = succ.tobytes()
+                # A row not seen before takes the next number.
+                targets = [index.setdefault(buf[k:k + width], len(index)) for k in range(0, len(buf), width)]
+                # Checked once per slice, so at most one slice's rows pass the cap.
+                if len(index) > events.STATE_CAP:
+                    raise CapExceeded(f"reachability exploration exceeded the state cap ({events.STATE_CAP})")
+                if len(index) > len(rows):
+                    grown = np.empty((max(2 * len(rows), len(index)), len(column)), np.int32)
+                    grown[:len(rows)] = rows
+                    rows = grown
+                rows[targets] = succ  # rows found before are rewritten with the same counts
+                src.append(fi + lo)
+                tr.append(ti)
+                dst.extend(targets)
+            done = layer
+
+        self.src, self.tr = np.concatenate(src), np.concatenate(tr)
+        self.dst = np.array(dst, np.intp)
+        self.n = len(index)
         self.initial = 0
-        self.final: int | None = index.get(sn.final_marking)
-        self.topo_order = self._topological_order()
+        self.final: int | None = index.get(row("final", sn.final_marking).tobytes())
+        level = self._peel()
+        self.cyclic = level is None
+        self.level = np.repeat(np.arange(len(depth)), depth) if level is None else level
 
-    def _topological_order(self) -> list[int] | None:
-        indeg = [0] * self.n
-        for out in self.edges:
-            for _, _, dst in out:
-                indeg[dst] += 1
-        ready = [v for v in range(self.n) if indeg[v] == 0]
-        order: list[int] = []
-        while ready:
-            v = ready.pop()
-            order.append(v)
-            for _, _, dst in self.edges[v]:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    ready.append(dst)
-        return order if len(order) == self.n else None
+    def _peel(self) -> np.ndarray | None:
+        """Longest-path level per node by Kahn peeling; None if a cycle stops it."""
+        out_end = np.searchsorted(self.src, np.arange(self.n + 1))  # edges are listed by source
+        indeg = np.bincount(self.dst, minlength=self.n)
+        level = np.zeros(self.n, np.intp)
+        ready = np.flatnonzero(indeg == 0)
+        peeled = 0
+        k = 0
+        while ready.size:
+            level[ready] = k
+            peeled += ready.size
+            # The ready nodes' out-edges: the ranges out_end[v]..out_end[v + 1], concatenated.
+            first, counts = out_end[ready], out_end[ready + 1] - out_end[ready]
+            edges = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            targets, hits = np.unique(self.dst[edges], return_counts=True)
+            indeg[targets] -= hits
+            ready = targets[indeg[targets] == 0]
+            k += 1
+        return level if peeled == self.n else None
 
     def in_edges(self) -> list[list[tuple[int, str | None, str]]]:
-        """Per node: (source node, label, transition id) of each incoming edge."""
-        rev: list[list[tuple[int, str | None, str]]] = [[] for _ in range(self.n)]
-        for src, out in enumerate(self.edges):
-            for tid, label, dst in out:
-                rev[dst].append((src, label, tid))
-        return rev
+        """Per node: (source node, label, transition id) of each incoming edge,
+        by source node, then transition id."""
+        order = np.argsort(self.dst, kind="stable")
+        ends = np.cumsum(np.bincount(self.dst, minlength=self.n)).tolist()
+        pairs = zip(self.src[order].tolist(), self.tr[order].tolist())
+        edges = [(u, self.labels[t], self.transitions[t]) for u, t in pairs]
+        return [edges[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 class _ModelMoves:
@@ -201,28 +259,21 @@ class _ModelMoves:
     def __init__(self, rg: ReachabilityGraph, cost: CostFunction):
         self.rg = rg
         self.model_cost = float(cost.model_move)
-        self.cyclic = rg.topo_order is None
-        # The longest-path level on an acyclic graph; one pass in BFS order on a cyclic one.
-        level = [0] * rg.n
-        for u in rg.topo_order or range(rg.n):
-            for _, _, dst in rg.edges[u]:
-                level[dst] = max(level[dst], level[u] + 1)
-        by_level: list[list[tuple[int, int, float]]] = [[] for _ in range(max(level) + 1)]
-        by_label: dict[str, list[tuple[int, int]]] = {}
+        self.cyclic = rg.cyclic
+        target_level = rg.level[rg.dst]
+        weights = np.array([self.weight(label) for label in rg.labels])[rg.tr]
+        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
+            (rg.src[k], rg.dst[k], weights[k])
+            for k in _groups(target_level, int(rg.level.max()) + 1)
+        ]
+        names = sorted({label for label in rg.labels if label is not None})
+        code = np.array([-1 if label is None else names.index(label) for label in rg.labels], np.intp)
+        self.sync: dict[str, tuple[np.ndarray, np.ndarray, int]] = {
+            label: (rg.src[k], rg.dst[k], 0 if self.cyclic else int(target_level[k].min()) + 1)
+            for label, k in zip(names, _groups(code[rg.tr] + 1, len(names) + 1)[1:])
+            if k.size
+        }
         self.into = rg.in_edges()
-        for src, out in enumerate(rg.edges):
-            for _, label, dst in out:
-                by_level[level[dst]].append((src, dst, self.weight(label)))
-                if label is not None:
-                    by_label.setdefault(label, []).append((src, dst))
-        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for group in by_level:
-            sources, targets, weights = np.array(list(zip(*group)), dtype=float).reshape(3, -1)
-            self.levels.append((sources.astype(np.intp), targets.astype(np.intp), weights))
-        self.sync: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
-        for label, pairs in by_label.items():
-            sources, targets = np.array(list(zip(*pairs)), dtype=np.intp)
-            self.sync[label] = (sources, targets, 0 if self.cyclic else min(level[d] for _, d in pairs) + 1)
         self.initial_row = np.full(rg.n, np.inf)
         self.initial_row[rg.initial] = 0.0
         self.relax(self.initial_row)
@@ -262,6 +313,12 @@ class _ModelMoves:
             x, move = link
             path.append(move)
         return u, path
+
+
+def _groups(keys: np.ndarray, count: int) -> list[np.ndarray]:
+    """Positions of ``keys`` (integers in ``range(count)``) by key, each in increasing order."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(keys, minlength=count))[:-1])
 
 
 #: Per system net: its reachability graph (key None) and its model moves per cost function.

@@ -311,18 +311,39 @@ def net_to_dict(sn: SystemNet) -> dict:
     }
 
 
+def _net_field(doc: dict, field: str, kind: type, default=None):
+    if field not in doc and default is None:
+        raise ValidationError(f"net document is missing field {field!r}")
+    return _expect(doc.get(field, default), kind, f"net field {field!r}")
+
+
+def _net_marking(doc: dict, field: str) -> Marking:
+    counts = _net_field(doc, field, dict, {})
+    for place, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ValidationError(f"net field {field!r}: count for {place!r} is {_json_type(count)}, not an integer")
+    try:
+        return Marking(counts)
+    except ValidationError as exc:
+        raise ValidationError(f"net field {field!r}: {exc}") from exc
+
+
 def net_from_dict(doc: dict) -> SystemNet:
     doc = _expect(doc, dict, "net document")
-    try:
-        places = list(doc["places"])
-        raw_transitions = list(doc["transitions"])
-        arcs = [tuple(arc) for arc in doc["arcs"]]
-    except KeyError as exc:
-        raise ValidationError(f"net document is missing field {exc.args[0]!r}") from exc
+    places = _net_field(doc, "places", list)
+    raw_transitions = _net_field(doc, "transitions", list)
+    raw_arcs = _net_field(doc, "arcs", list)
+    for i, place in enumerate(places):
+        _expect(place, str, f"net field 'places': entry {i}")
+    arcs = []
+    for i, arc in enumerate(raw_arcs):
+        if not isinstance(arc, list) or len(arc) != 2 or not all(isinstance(end, str) for end in arc):
+            raise ValidationError(f"net field 'arcs': entry {i} is not a pair of strings: {arc!r}")
+        arcs.append(tuple(arc))
     ids = []
     labels = {}
-    for entry in raw_transitions:
-        if "id" not in entry:
+    for i, entry in enumerate(raw_transitions):
+        if "id" not in _expect(entry, dict, f"net field 'transitions': entry {i}"):
             raise ValidationError("net transition entry without an 'id'")
         tid = str(entry["id"])
         ids.append(tid)
@@ -333,11 +354,7 @@ def net_from_dict(doc: dict) -> SystemNet:
     if len(set(places)) != len(places):
         raise ValidationError("net document has duplicate places")
     net = PetriNet(places, ids, arcs, labels)
-    return SystemNet(
-        net,
-        Marking(dict(doc.get("initial_marking", {}))),
-        Marking(dict(doc.get("final_marking", {}))),
-    )
+    return SystemNet(net, _net_marking(doc, "initial_marking"), _net_marking(doc, "final_marking"))
 
 
 def save_net(sn: SystemNet) -> bytes:

@@ -1,9 +1,13 @@
 """Alignments and conformance bounds."""
 import random
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from helpers import alignment_cost_by_language
+from helpers import DATA_DIR, alignment_cost_by_language, uncertain_traces
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_events import running_example
 
@@ -27,6 +31,7 @@ from uncertain_conform import (
     event_net,
     fire,
     language,
+    load_net,
     log_bounds,
     lower_bound,
     lower_bound_bruteforce,
@@ -36,6 +41,7 @@ from uncertain_conform import (
     realizations,
     upper_bound,
 )
+from uncertain_conform.petri import enabled_transitions
 
 
 class TestOptimalAlignment:
@@ -316,6 +322,19 @@ class TestProductCap:
 
 
 class TestStateCap:
+    def test_model_at_the_cap(self, monkeypatch):
+        model = event_net(["a", "b", "c"])  # 4 states
+        monkeypatch.setattr(events, "STATE_CAP", 4)
+        assert align.ReachabilityGraph(model).n == 4
+        monkeypatch.setattr(events, "STATE_CAP", 3)
+        with pytest.raises(CapExceeded, match=r"state cap \(3\)"):
+            align.ReachabilityGraph(model)
+
+    def test_unbounded_model_over_the_cap(self, monkeypatch):
+        monkeypatch.setattr(events, "STATE_CAP", 50)
+        with pytest.raises(CapExceeded, match=r"reachability exploration exceeded the state cap \(50\)"):
+            align.reachability_graph(UNBOUNDED_MODEL)
+
     def test_trace_lattice_over_the_cap(self, monkeypatch):
         model = event_net(["a"])  # 2 states
         wide = UncertainTrace("wide", tuple(UncertainEvent(f"e{i}", frozenset({"a"}), 0, 9) for i in range(3)))  # 8 ideals
@@ -330,6 +349,14 @@ class TestStateCap:
         assert capped.lower_cost is None and capped.upper_cost is None
         assert "state cap (7)" in capped.error
         assert fine.error is None and fine.lower_cost == fine.upper_cost == 0
+
+
+#: ``gen`` keeps its token on p0 and adds one to p1, so the model has no bound.
+UNBOUNDED_MODEL = SystemNet(
+    PetriNet(["p0", "p1", "p2"], ["a", "gen"],
+             [("p0", "gen"), ("gen", "p0"), ("gen", "p1"), ("p0", "a"), ("a", "p2")], {"a": "a"}),
+    Marking(["p0"]), Marking(["p2"]),
+)
 
 
 def _cyclic_net(arcs, labels) -> SystemNet:
@@ -370,7 +397,7 @@ class TestCyclicModels:
     @pytest.mark.parametrize("name", sorted(CYCLIC_MODELS))
     def test_bounds_match_language_oracle(self, name):
         model = _cyclic_net(*CYCLIC_MODELS[name])
-        assert align.reachability_graph(model).topo_order is None
+        assert align.reachability_graph(model).cyclic
         shortest = min(len(word) for word in language(model, 4))
         rnd = random.Random(name)
         traces = [UncertainTrace("a", (certain_event("e0", "a", 0),))]
@@ -390,6 +417,125 @@ class TestCyclicModels:
             assert (low, up) == (min(costs), max(costs))
             assert_valid_witness(model, trace, low, low_witness)
             assert_valid_witness(model, trace, up, up_witness)
+
+
+def reference_graph(sn: SystemNet, cap: int | None = None):
+    """A FIFO search over markings with ``enabled_transitions`` and ``fire``:
+    state count, out-edges (transition id, label, target) per state, final
+    index, and the longest-path level per state (None if there is a cycle).
+    None if there are more than ``cap`` states."""
+    net = sn.net
+    nodes, index, out = [sn.initial_marking], {sn.initial_marking: 0}, []
+    for marking in nodes:
+        if cap is not None and len(nodes) > cap:
+            return None
+        edges = []
+        for t in enabled_transitions(net, marking):
+            nxt = fire(net, marking, t)
+            if nxt not in index:
+                index[nxt] = len(nodes)
+                nodes.append(nxt)
+            edges.append((t, net.label(t), index[nxt]))
+        out.append(edges)
+    indeg = [0] * len(nodes)
+    for edges in out:
+        for _, _, dst in edges:
+            indeg[dst] += 1
+    level = [0] * len(nodes)
+    ready = [v for v in range(len(nodes)) if indeg[v] == 0]
+    for v in ready:
+        for _, _, dst in out[v]:
+            level[dst] = max(level[dst], level[v] + 1)
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                ready.append(dst)
+    return len(nodes), out, index.get(sn.final_marking), level if len(ready) == len(nodes) else None
+
+
+def assert_matches_reference(sn: SystemNet) -> None:
+    rg = align.ReachabilityGraph(sn)
+    n, out, final, level = reference_graph(sn)
+    edges = [[] for _ in range(rg.n)]
+    for src, t, dst in zip(rg.src.tolist(), rg.tr.tolist(), rg.dst.tolist()):
+        edges[src].append((rg.transitions[t], rg.labels[t], dst))
+    assert (rg.n, edges, rg.final) == (n, out, final)
+    assert rg.cyclic == (level is None)
+    if level is not None:
+        assert rg.level.tolist() == level
+
+
+@st.composite
+def small_nets(draw):
+    """Nets of up to 4 places and 4 transitions, up to 2 tokens per place: not
+    always safe, bounded, acyclic or able to reach the final marking."""
+    places = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+    arcs, labels = [], {}
+    for t in (f"t{i}" for i in range(draw(st.integers(1, 4)))):
+        arcs += [(p, t) for p in draw(st.sets(st.sampled_from(places), min_size=1))]
+        arcs += [(t, p) for p in draw(st.sets(st.sampled_from(places)))]
+        if label := draw(st.sampled_from([None, "a", "b"])):
+            labels[t] = label
+    transitions = sorted({t for arc in arcs for t in arc if t.startswith("t")})
+    initial, final = (Marking({p: draw(st.integers(0, 2)) for p in places}) for _ in range(2))
+    return SystemNet(PetriNet(places, transitions, arcs, labels), initial, final)
+
+
+BENCH_INPUTS = Path(__file__).parent.parent / "bench" / "inputs"
+
+
+class TestReachabilityGraph:
+    """The array search against a search over ``Marking`` values."""
+
+    @given(st.integers(1, 12), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_block_nets(self, size, seed):
+        assert_matches_reference(random_block_net(size, f"rg{seed}"))
+
+    @given(uncertain_traces(max_events=5))
+    @settings(max_examples=40, deadline=None)
+    def test_behavior_nets(self, trace):
+        assert_matches_reference(behavior_net(trace))
+
+    @given(small_nets())
+    @settings(max_examples=150, deadline=None)
+    def test_small_nets(self, sn):
+        with mock.patch.object(events, "STATE_CAP", 60):
+            if reference_graph(sn, cap=60) is None:
+                with pytest.raises(CapExceeded, match=r"state cap \(60\)"):
+                    align.ReachabilityGraph(sn)
+            else:
+                assert_matches_reference(sn)
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC_MODELS))
+    def test_cyclic_models(self, name):
+        assert_matches_reference(_cyclic_net(*CYCLIC_MODELS[name]))
+
+    def test_two_tokens_on_a_place(self):
+        net = PetriNet(["p0", "p1", "p2"], ["a", "b"], [("p0", "a"), ("a", "p1"), ("p1", "b"), ("b", "p2")],
+                       {"a": "a", "b": "b"})
+        sn = SystemNet(net, Marking({"p0": 2}), Marking({"p2": 2}))
+        assert_matches_reference(sn)
+        rg = align.reachability_graph(sn)
+        assert (rg.n, rg.final) == (6, 5)
+        assert optimal_alignment(["a", "b", "a", "b"], sn).cost == 0
+
+    @pytest.mark.parametrize("path, states, final", [
+        (DATA_DIR / "icu_net.json", 94, 91),
+        (BENCH_INPUTS / "small.net.json", 30, 1),
+        (BENCH_INPUTS / "wide.net.json", 708, 15),
+        (BENCH_INPUTS / "large.net.json", 5182, 1266),
+    ], ids=["icu", "small", "wide", "large"])
+    def test_fixture_nets(self, path, states, final):
+        sn = load_net(path)
+        assert_matches_reference(sn)
+        rg = align.reachability_graph(sn)
+        assert (rg.n, rg.final, rg.cyclic) == (states, final, False)
+
+    def test_huge_initial_count_rejected(self):
+        net = PetriNet(["p0", "p1"], ["a"], [("p0", "a"), ("a", "p1")], {"a": "a"})
+        sn = SystemNet(net, Marking({"p0": align.TOKEN_LIMIT + 1}), Marking({"p1": 1}))
+        with pytest.raises(ValidationError, match="initial marking puts .* tokens on 'p0', over the limit"):
+            align.reachability_graph(sn)
 
 
 class TestMemory:

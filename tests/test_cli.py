@@ -69,6 +69,16 @@ class TestBounds:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: trace 'c': event 'e1': 'indeterminate'")
 
+    def test_wrong_typed_net_field_exits_1(self, tmp_path, capsys):
+        net = json.loads((DATA_DIR / "icu_net.json").read_text())
+        net["arcs"][0].append("p2")
+        bad = tmp_path / "net.json"
+        bad.write_text(json.dumps(net))
+        code = main(["bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: net field 'arcs': entry 0 is not a pair of strings")
+
     def test_thirteen_event_trace_is_not_capped(self, tmp_path, capsys):
         # Its case12 has 13 events and 4 realizations; an event cap of 12 once marked it capped.
         log_path, net_path = tmp_path / "log.json", tmp_path / "net.json"
@@ -166,6 +176,22 @@ class TestBounds:
         code = main(["bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(DATA_DIR / "icu_net.json")])
         assert code == 2
         assert "state cap" in capsys.readouterr().err
+
+    def test_unbounded_model_exits_2(self, tmp_path, capsys, monkeypatch):
+        # gen keeps its token on p0 and adds one to p1, so the model has no bound.
+        net = {
+            "places": ["p0", "p1", "p2"],
+            "transitions": [{"id": "a", "label": "a"}, {"id": "gen", "label": None}],
+            "arcs": [["p0", "gen"], ["gen", "p0"], ["gen", "p1"], ["p0", "a"], ["a", "p2"]],
+            "initial_marking": {"p0": 1},
+            "final_marking": {"p2": 1},
+        }
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        monkeypatch.setattr(events, "STATE_CAP", 50)
+        code = main(["bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(tmp_path / "net.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "reachability exploration exceeded the state cap (50)" in captured.err
 
 
 class TestGen:

@@ -269,6 +269,29 @@ class TestNetIo:
         with pytest.raises(ValidationError, match="net document is an array"):
             load_net(b"[]")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("arcs", [["p1", "t1", "p2"]], r"net field 'arcs': entry 0 is not a pair of strings"),
+        ("places", 5, r"net field 'places' is a number, not an array"),
+        ("transitions", ["idx"], r"net field 'transitions': entry 0 is a string, not an object"),
+        ("transitions", [3], r"net field 'transitions': entry 0 is a number, not an object"),
+        ("places", ["p1", "p2", 7], r"net field 'places': entry 2 is a number, not a string"),
+        ("initial_marking", ["p1"], r"net field 'initial_marking' is an array, not an object"),
+        ("initial_marking", {"p1": True}, r"net field 'initial_marking': count for 'p1' is a boolean, not an integer"),
+    ], ids=["three-element-arc", "number-places", "string-transition", "number-transition", "number-place",
+            "array-marking", "boolean-count"])
+    def test_wrong_typed_field_rejected(self, field, value, message):
+        doc = {
+            "places": ["p1", "p2"],
+            "transitions": [{"id": "t1", "label": "a"}],
+            "arcs": [["p1", "t1"], ["t1", "p2"]],
+            "initial_marking": {"p1": 1},
+            "final_marking": {"p2": 1},
+        }
+        load_net(json.dumps(doc).encode())
+        doc[field] = value
+        with pytest.raises(ValidationError, match=message):
+            load_net(json.dumps(doc).encode())
+
     def test_null_label_means_invisible(self):
         doc = {
             "places": ["p1", "p2"],
