@@ -23,10 +23,8 @@ from .align import (
 from .behavior import (
     BehaviorGraph,
     behavior_graph,
-    behavior_graph_dot,
     behavior_net,
     topological_sortings,
-    transitive_reduction,
 )
 from .errors import CapExceeded, ValidationError
 from .events import (
@@ -35,7 +33,6 @@ from .events import (
     UncertainLog,
     UncertainTrace,
     certain_event,
-    certain_view,
     count_realizations,
     order_realizations,
     precedes,
@@ -56,9 +53,7 @@ from .petri import (
     enabled,
     event_net,
     fire,
-    is_perfectly_fitting,
     language,
-    product_net,
 )
 from .synthesis import (
     DeviationConfig,
@@ -93,17 +88,14 @@ __all__ = [
     "UncertaintyConfig",
     "ValidationError",
     "behavior_graph",
-    "behavior_graph_dot",
     "behavior_net",
     "certain_event",
-    "certain_view",
     "count_realizations",
     "deviate",
     "enabled",
     "event_net",
     "fire",
     "format_timestamp",
-    "is_perfectly_fitting",
     "language",
     "load_log",
     "load_net",
@@ -116,13 +108,11 @@ __all__ = [
     "playout",
     "precedes",
     "prepare_model",
-    "product_net",
     "random_block_net",
     "realizations",
     "save_log",
     "save_net",
     "topological_sortings",
-    "transitive_reduction",
     "uncertainize",
     "upper_bound",
 ]

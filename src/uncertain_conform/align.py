@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -151,7 +151,8 @@ class ReachabilityGraph:
     are taken node-major, transition-minor, and each new row is numbered in
     that order, as a FIFO search would. Edges are three flat arrays listed by
     source: ``src``, ``tr`` (an index into ``transitions`` and ``labels``) and
-    ``dst``. ``level`` is each node's longest-path level, found by peeling
+    ``dst``; :meth:`in_edges` reads one node's in-edges from a copy sorted by
+    target. ``level`` is each node's longest-path level, found by peeling
     nodes without in-edges; a graph that does not peel is ``cyclic`` and takes
     its breadth-first depth instead.
     """
@@ -214,6 +215,10 @@ class ReachabilityGraph:
         self.n = len(index)
         self.initial = 0
         self.final: int | None = index.get(row("final", sn.final_marking).tobytes())
+        # In-edges by target: a stable sort keeps each target's edges by source, then transition.
+        order = np.argsort(self.dst, kind="stable")
+        self._in_end = np.searchsorted(self.dst[order], np.arange(self.n + 1)).tolist()
+        self._in_src, self._in_tr = self.src[order].tolist(), self.tr[order].tolist()
         level = self._peel()
         self.cyclic = level is None
         self.level = np.repeat(np.arange(len(depth)), depth) if level is None else level
@@ -238,14 +243,11 @@ class ReachabilityGraph:
             k += 1
         return level if peeled == self.n else None
 
-    def in_edges(self) -> list[list[tuple[int, str | None, str]]]:
-        """Per node: (source node, label, transition id) of each incoming edge,
-        by source node, then transition id."""
-        order = np.argsort(self.dst, kind="stable")
-        ends = np.cumsum(np.bincount(self.dst, minlength=self.n)).tolist()
-        pairs = zip(self.src[order].tolist(), self.tr[order].tolist())
-        edges = [(u, self.labels[t], self.transitions[t]) for u, t in pairs]
-        return [edges[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    def in_edges(self, v: int) -> Iterator[tuple[int, int]]:
+        """(source node, transition index) of each edge into ``v``, by source
+        node, then transition id."""
+        a, b = self._in_end[v], self._in_end[v + 1]
+        return zip(self._in_src[a:b], self._in_tr[a:b])
 
 
 class _ModelMoves:
@@ -273,7 +275,6 @@ class _ModelMoves:
             for label, k in zip(names, _groups(code[rg.tr] + 1, len(names) + 1)[1:])
             if k.size
         }
-        self.into = rg.in_edges()
         self.initial_row = np.full(rg.n, np.inf)
         self.initial_row[rg.initial] = 0.0
         self.relax(self.initial_row)
@@ -294,17 +295,18 @@ class _ModelMoves:
     def segment(self, pre: np.ndarray, post: np.ndarray, v: int) -> tuple[int, list[Move]]:
         """A state u with ``pre[u] == post[u]`` and the moves of a cheapest path
         u -> v: the first such state a breadth-first walk back from v over
-        tight in-edges reaches, in the order of ``into``. Each state is visited
-        once, so τ-cycles end the walk."""
+        tight in-edges reaches, in the order of ``rg.in_edges``. Each state is
+        visited once, so τ-cycles end the walk."""
         parent: dict[int, tuple[int, Move] | None] = {v: None}
         queue = deque([v])
         while queue:
             x = queue.popleft()
             if pre[x] == post[x]:
                 break
-            for u, label, tid in self.into[x]:
+            for u, t in self.rg.in_edges(x):
+                label = self.rg.labels[t]
                 if u not in parent and post[u] + self.weight(label) == post[x]:
-                    parent[u] = (x, Move(None, label, tid))
+                    parent[u] = (x, Move(None, label, self.rg.transitions[t]))
                     queue.append(u)
         else:
             raise AssertionError("witness reconstruction found no model-move path")
@@ -414,22 +416,22 @@ def _witness(
         moves_rev.extend(reversed(path))
         if not in_edges[b]:
             break
-        b, v, move = _step_back(in_edges[b], u, pre[b, u], post, moves.into[u], log_cost)
+        b, v, move = _step_back(in_edges[b], u, pre[b, u], post, moves.rg, log_cost)
         if move is not None:
             moves_rev.append(move)
     return Alignment(tuple(reversed(moves_rev)), int(post[final, moves.rg.final]))
 
 
 def _step_back(
-    in_edges: Sequence[tuple], u: int, value: float, post: np.ndarray, model_in_edges: Sequence[tuple], log_cost: float
+    in_edges: Sequence[tuple], u: int, value: float, post: np.ndarray, rg: ReachabilityGraph, log_cost: float
 ) -> tuple[int, int, Move | None]:
     """The transfer that reached model node ``u`` at cost ``value``: (source, model source, move)."""
     # Tie-break order: synchronous, then trace-side skip, then log move.
     for src, label, _ in in_edges:
         if label is not None:
-            for msrc, mlabel, mtid in model_in_edges:
-                if mlabel == label and post[src, msrc] == value:
-                    return src, msrc, Move(label, label, mtid)
+            for msrc, t in rg.in_edges(u):
+                if rg.labels[t] == label and post[src, msrc] == value:
+                    return src, msrc, Move(label, label, rg.transitions[t])
     for src, label, _ in in_edges:
         if label is None and post[src, u] == value:
             return src, u, None

@@ -1,20 +1,22 @@
 """Behavior graphs and behavior nets.
 
 The behavior graph of an uncertain trace is the transitive reduction of the
-precedence DAG induced by the timestamp intervals; its topological sortings
-are exactly the trace's order-realizations. The behavior net is a Petri net
-that replays all and only the trace's realizations; its reachable markings
-are the order ideals of the timestamp order, which the bounds search
-directly (:func:`events.trace_lattice`). Both are kept as checked constructs.
+precedence DAG induced by the timestamp intervals. Precedence is an interval
+order, hence transitive, so the reduction is its cover relation, read off the
+predecessor bitmasks of :func:`events.precedes`; the graph's topological
+sortings are exactly the trace's order-realizations. The behavior net is a
+Petri net that replays all and only the trace's realizations; its reachable
+markings are the order ideals of the timestamp order, which the bounds
+search directly (:func:`events.trace_lattice`). Both are kept as checked
+constructs.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .events import EnumerationCaps, UncertainEvent, UncertainTrace, _ideals, linear_words
+from .events import EnumerationCaps, UncertainEvent, UncertainTrace, _by_id, _ideals, linear_words
 from .petri import Marking, PetriNet, SystemNet
 
 START = "start"
@@ -28,76 +30,23 @@ class BehaviorGraph:
     events: Mapping[str, UncertainEvent]
     edges: frozenset[tuple[str, str]]
 
-    def successors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(w for (u, w) in self.edges if u == v))
-
-
-def _assert_acyclic(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> None:
-    succ: dict[str, list[str]] = {v: [] for v in vertices}
-    indeg: dict[str, int] = {v: 0 for v in vertices}
-    for u, w in edges:
-        succ[u].append(w)
-        indeg[w] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != len(succ):
-        raise ValidationError("graph contains a cycle")
-
-
-def transitive_reduction(
-    vertices: Iterable[str], edges: Iterable[tuple[str, str]]
-) -> set[tuple[str, str]]:
-    """Unique transitive reduction of a DAG.
-
-    An edge (v, w) is dropped iff w stays reachable from v without it; checked
-    with a DFS per edge, which is plenty at trace scale.
-    """
-    vertices = list(vertices)
-    edge_set = {(u, w) for u, w in edges}
-    for u, w in edge_set:
-        if u == w:
-            raise ValidationError("graph contains a self-loop")
-    _assert_acyclic(vertices, edge_set)
-    succ: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, w in sorted(edge_set):
-        succ[u].append(w)
-
-    def reachable_without_edge(src: str, dst: str) -> bool:
-        # DFS from src's other successors: exactly the graph minus (src, dst).
-        stack = [v for v in succ[src] if v != dst]
-        visited = set(stack)
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            for w in succ[v]:
-                if w not in visited:
-                    visited.add(w)
-                    stack.append(w)
-        return False
-
-    return {(u, w) for (u, w) in edge_set if not reachable_without_edge(u, w)}
-
 
 def behavior_graph(trace: UncertainTrace) -> BehaviorGraph:
-    """Build the behavior graph: precedence edges, then transitive reduction."""
-    events = {e.id: e for e in sorted(trace.events, key=lambda e: e.id)}
-    by_start = sorted(events.values(), key=lambda e: e.t_min)
-    starts = [e.t_min for e in by_start]
-    raw = set()
-    for a in events.values():
-        # successors of a are exactly the events starting after a ends
-        for b in by_start[bisect_right(starts, a.t_max):]:
-            raw.add((a.id, b.id))
-    reduced = transitive_reduction(events, raw)
-    return BehaviorGraph(events, frozenset(reduced))
+    """Build the behavior graph: the cover relation of :func:`events.precedes`.
+
+    An edge (e, e2) joins e2 to each predecessor e that precedes no other
+    predecessor of e2. Precedence is transitive, so the predecessors of e2's
+    predecessors are exactly the ones to drop.
+    """
+    events, preds = _by_id(trace)
+    edges = set()
+    for j, p in enumerate(preds):
+        below = [i for i in range(len(events)) if p >> i & 1]
+        implied = 0
+        for i in below:
+            implied |= preds[i]
+        edges.update((events[i].id, events[j].id) for i in below if not implied >> i & 1)
+    return BehaviorGraph({e.id: e for e in events}, frozenset(edges))
 
 
 def topological_sortings(
@@ -152,16 +101,3 @@ def behavior_net(trace: UncertainTrace) -> SystemNet:
         Marking(place for place, u, _ in flows if u is None),
         Marking(place for place, _, w in flows if w is None),
     )
-
-
-def behavior_graph_dot(bg: BehaviorGraph) -> str:
-    """DOT rendering for inspection; indeterminate events are dashed."""
-    lines = ["digraph behavior {", "  rankdir=LR;"]
-    for v, event in bg.events.items():
-        label = "{" + ", ".join(event.sorted_activities()) + "}"
-        style = ' style="dashed"' if event.indeterminate else ""
-        lines.append(f'  "{v}" [label="{v}\\n{label}"{style}];')
-    for u, w in sorted(bg.edges):
-        lines.append(f'  "{u}" -> "{w}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -231,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
             args.uncertainty_config = ["indeterminate"]
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceeded as exc:

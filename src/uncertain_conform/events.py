@@ -5,14 +5,16 @@ timestamp interval, and an indeterminacy flag ("?" events may not have
 happened at all). Timestamps are integers (nanoseconds since the epoch);
 only their total order matters here.
 
-A trace's state space is the lattice of order ideals of its timestamp order
-(:func:`trace_lattice`): the reachability graph of its behavior net, built
-without the net and capped by :data:`STATE_CAP`. The lower bound searches
-it; :func:`linear_words` determinizes it to list the distinct words of the
-linear extensions, each once and in lexicographic order. Realizations (each
-event emits one of its labels, or nothing when indeterminate), orderings
-(each event emits its id) and behavior-graph sortings all come from that
-walk over a capped lattice.
+:func:`precedes` is the one definition of the timestamp order; the behavior
+graph (:func:`behavior.behavior_graph`) and every lattice read it as
+per-event predecessor bitmasks. A trace's state space is the lattice of
+order ideals of that order (:func:`trace_lattice`): the reachability graph
+of its behavior net, built without the net and capped by :data:`STATE_CAP`.
+The lower bound searches it; :func:`linear_words` determinizes it to list
+the distinct words of the linear extensions, each once and in lexicographic
+order. Realizations (each event emits one of its labels, or nothing when
+indeterminate), orderings (each event emits its id) and behavior-graph
+sortings all come from that walk over a capped lattice.
 """
 from __future__ import annotations
 
@@ -124,12 +126,6 @@ class UncertainTrace:
             if e.id == event_id:
                 return e
         raise KeyError(event_id)
-
-    def activity_universe(self) -> frozenset[str]:
-        out: set[str] = set()
-        for e in self.events:
-            out |= e.activities
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -313,18 +309,3 @@ def count_realizations(log: UncertainLog, caps: EnumerationCaps | None = None) -
         except CapExceeded as exc:
             raise CapExceeded(f"case {trace.case_id!r}: {exc}") from exc
     return total
-
-
-def certain_view(trace: UncertainTrace) -> tuple[str, ...] | None:
-    """The unique realization of a trace without uncertainty, else None.
-
-    Requires singleton activity sets, determinate events, and pairwise
-    distinct point timestamps (equal points leave the order ambiguous).
-    """
-    if not all(e.is_certain for e in trace.events):
-        return None
-    stamps = [e.t_min for e in trace.events]
-    if len(set(stamps)) != len(stamps):
-        return None
-    ordered = sorted(trace.events, key=lambda e: e.t_min)
-    return tuple(next(iter(e.activities)) for e in ordered)

@@ -131,13 +131,14 @@ def _event_from_dict(raw, context: str, position: int) -> UncertainEvent:
     if not isinstance(activities, list) or not activities:
         raise ValidationError(f"{where} needs a nonempty activity list")
     try:
+        labels = frozenset(_expect(a, str, f"activity {i}") for i, a in enumerate(activities))
         t_min, t_max = (parse_timestamp(_expect(stamp, str, repr(key))) for key, stamp in stamps.items())
         indeterminate = _expect(raw.get("indeterminate", False), bool, "'indeterminate'")
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
     return UncertainEvent(
         id=str(event_id),
-        activities=frozenset(str(a) for a in activities),
+        activities=labels,
         t_min=t_min,
         t_max=t_max,
         indeterminate=indeterminate,
@@ -348,7 +349,7 @@ def net_from_dict(doc: dict) -> SystemNet:
         tid = str(entry["id"])
         ids.append(tid)
         if entry.get("label") is not None:
-            labels[tid] = str(entry["label"])
+            labels[tid] = _expect(entry["label"], str, f"net transition {tid!r}: 'label'")
     if len(set(ids)) != len(ids):
         raise ValidationError("net document has duplicate transition ids")
     if len(set(places)) != len(places):

@@ -1,7 +1,10 @@
-"""Labeled Petri nets: token-game semantics, event nets, product nets, bounded language.
+"""Labeled Petri nets: token-game semantics, event nets, bounded language.
 
 Nets and markings are immutable values; every operation is a pure function of
-its inputs, so they can be shared freely across threads.
+its inputs, so they can be shared freely across threads. The alignment search
+(:mod:`align`) reads the model's reachable markings and never builds a
+product net; :func:`event_net` and :func:`language` are reference constructs
+the tests check it against.
 """
 from __future__ import annotations
 
@@ -17,9 +20,6 @@ TAU = "τ"
 #: Labels that cannot be assigned to transitions (reserved by the alignment
 #: JSON encoding and the τ convention).
 RESERVED_LABELS = frozenset({TAU, "tau", ">>"})
-
-#: Placeholder for "no move" in product-net transition identifiers.
-NO_MOVE = ">>"
 
 
 class Marking(Mapping[str, int]):
@@ -215,57 +215,6 @@ def event_net(trace: Iterable[str]) -> SystemNet:
     return SystemNet(net, Marking([places[0]]), Marking([places[-1]]))
 
 
-def product_net(s1: SystemNet, s2: SystemNet) -> SystemNet:
-    """Synchronous product of two system nets.
-
-    Component identifiers are qualified with a side tag ("l:"/"r:") so the
-    construction never collides; transition identifiers record their origin
-    pair, e.g. "(t1,>>)", "(>>,t2)", "(t1,t2)".
-    """
-    n1, n2 = s1.net, s2.net
-    lp = {p: f"l:{p}" for p in n1.places}
-    rp = {p: f"r:{p}" for p in n2.places}
-
-    places = list(lp.values()) + list(rp.values())
-    transitions: list[str] = []
-    arcs: list[tuple[str, str]] = []
-    labels: dict[str, str] = {}
-
-    def add(tid: str, label: str | None, pre: Iterable[str], post: Iterable[str]) -> None:
-        transitions.append(tid)
-        if label is not None:
-            labels[tid] = label
-        for p in pre:
-            arcs.append((p, tid))
-        for p in post:
-            arcs.append((tid, p))
-
-    for t in sorted(n1.transitions):
-        add(f"({t},{NO_MOVE})", n1.label(t), (lp[p] for p in n1.preset(t)), (lp[p] for p in n1.postset(t)))
-    for t in sorted(n2.transitions):
-        add(f"({NO_MOVE},{t})", n2.label(t), (rp[p] for p in n2.preset(t)), (rp[p] for p in n2.postset(t)))
-    for t1 in sorted(n1.transitions):
-        label = n1.label(t1)
-        if label is None:
-            continue
-        for t2 in sorted(n2.transitions):
-            if n2.label(t2) != label:
-                continue
-            add(
-                f"({t1},{t2})",
-                label,
-                [lp[p] for p in n1.preset(t1)] + [rp[p] for p in n2.preset(t2)],
-                [lp[p] for p in n1.postset(t1)] + [rp[p] for p in n2.postset(t2)],
-            )
-
-    initial = {lp[p]: c for p, c in s1.initial_marking.items()}
-    initial.update({rp[p]: c for p, c in s2.initial_marking.items()})
-    final = {lp[p]: c for p, c in s1.final_marking.items()}
-    final.update({rp[p]: c for p, c in s2.final_marking.items()})
-    net = PetriNet(places, transitions, arcs, labels)
-    return SystemNet(net, Marking(initial), Marking(final))
-
-
 def language(sn: SystemNet, max_len: int, max_firings: int = 10_000) -> set[tuple[str, ...]]:
     """Visible label sequences of complete firing sequences, up to ``max_len``.
 
@@ -295,10 +244,3 @@ def language(sn: SystemNet, max_len: int, max_firings: int = 10_000) -> set[tupl
                 seen.add(pair)
                 stack.append(pair)
     return results
-
-
-def is_perfectly_fitting(log: Iterable[Iterable[str]], sn: SystemNet) -> bool:
-    """True iff every trace replays on ``sn`` with optimal alignment cost 0."""
-    from .align import STANDARD_COST, optimal_alignment  # local import: align builds on this module
-
-    return all(optimal_alignment(list(trace), sn, STANDARD_COST).cost == 0 for trace in log)

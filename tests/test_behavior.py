@@ -1,4 +1,4 @@
-"""Behavior graphs and nets: reduction, sortings, net structure."""
+"""Behavior graphs and nets: cover edges, sortings, net structure."""
 import pytest
 from helpers import uncertain_traces
 from hypothesis import given, settings
@@ -11,42 +11,15 @@ from uncertain_conform import (
     UncertainTrace,
     ValidationError,
     behavior_graph,
-    behavior_graph_dot,
     behavior_net,
     certain_event,
     event_net,
     language,
     order_realizations,
+    precedes,
     realizations,
     topological_sortings,
-    transitive_reduction,
 )
-
-
-class TestTransitiveReduction:
-    def test_triangle(self):
-        edges = {("a", "b"), ("b", "c"), ("a", "c")}
-        assert transitive_reduction("abc", edges) == {("a", "b"), ("b", "c")}
-
-    def test_idempotent_on_chain(self):
-        edges = {("a", "b"), ("b", "c")}
-        once = transitive_reduction("abc", edges)
-        assert once == edges
-        assert transitive_reduction("abc", once) == once
-
-    def test_cycle_rejected(self):
-        with pytest.raises(ValidationError):
-            transitive_reduction("ab", {("a", "b"), ("b", "a")})
-
-    def test_running_example_drops_long_edge(self):
-        # Raw precedence has four edges; the reduction drops (e1, e4).
-        vertices = ["e1", "e2", "e3", "e4"]
-        raw = {("e1", "e2"), ("e2", "e4"), ("e3", "e4"), ("e1", "e4")}
-        assert transitive_reduction(vertices, raw) == {
-            ("e1", "e2"),
-            ("e2", "e4"),
-            ("e3", "e4"),
-        }
 
 
 class TestBehaviorGraph:
@@ -64,6 +37,22 @@ class TestBehaviorGraph:
         )
         bg = behavior_graph(UncertainTrace("c", events))
         assert bg.edges == frozenset({("e0", "e1"), ("e1", "e2"), ("e2", "e3")})
+
+    @given(uncertain_traces(max_events=7))
+    @settings(max_examples=150, deadline=None)
+    def test_edges_are_the_cover_of_precedes(self, trace):
+        # Edges are precedes pairs with no event strictly between them, and
+        # their transitive closure is the whole of precedes.
+        bg = behavior_graph(trace)
+        ids = sorted(bg.events)
+        before = {(u, w) for u in ids for w in ids if precedes(bg.events[u], bg.events[w])}
+        for u, w in bg.edges:
+            assert (u, w) in before
+            assert not any((u, x) in before and (x, w) in before for x in ids)
+        reach = set(bg.edges)
+        for x in ids:  # Warshall: x may now be an intermediate event
+            reach |= {(u, y) for u, w in reach if w == x for v, y in reach if v == x}
+        assert reach == before
 
 
 class TestTopologicalSortings:
@@ -118,8 +107,6 @@ class TestBehaviorNet:
             UncertainEvent("e3", frozenset({"d"}), 40, 40, False),
         )
         trace = UncertainTrace("c", events)
-        bg = behavior_graph(trace)
-        assert bg.successors("e0") == ("e1", "e2")
         sn = behavior_net(trace)
         assert len(sn.net.postset("e0:a")) == 2
         assert len(sn.net.preset("e3:d")) == 2
@@ -137,14 +124,6 @@ class TestBehaviorNet:
         assert "start→e1" in sn.net.places
         assert "e1→e2" in sn.net.places
         assert "e4→end" in sn.net.places
-
-
-class TestDotExport:
-    def test_dashed_for_indeterminate(self):
-        dot = behavior_graph_dot(behavior_graph(running_example()))
-        assert 'style="dashed"' in dot
-        assert '"e1" -> "e2";' in dot
-        assert "PrTP, SecTP" in dot
 
 
 class TestGraphNetProperties:
@@ -169,4 +148,4 @@ class TestGraphNetProperties:
         by_id = sorted(trace.events, key=lambda e: e.id)
         tids = [[(src, a, f"{by_id[i].id}:{a or 'tau'}") for src, a, i in into] for into in lattice]
         assert len(lattice) == rg.n
-        assert tids == rg.in_edges()
+        assert tids == [[(u, rg.labels[t], rg.transitions[t]) for u, t in rg.in_edges(v)] for v in range(rg.n)]

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 
+import pytest
 from helpers import DATA_DIR
 
 from uncertain_conform import align, events
@@ -51,6 +52,14 @@ class TestBounds:
         code = main(["bounds", "--log", "/nonexistent.json", "--net", str(DATA_DIR / "icu_net.json")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--log", "--net", "--out"])
+    def test_directory_path_exits_1(self, flag, tmp_path, capsys):
+        paths = {"--log": DATA_DIR / "icu_log.json", "--net": DATA_DIR / "icu_net.json", flag: tmp_path}
+        code = main(["bounds"] + [str(part) for pair in paths.items() for part in pair])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Is a directory" in captured.err
 
     def test_invalid_log_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -15,7 +15,6 @@ from uncertain_conform import (
     ValidationError,
     behavior_graph,
     certain_event,
-    certain_view,
     count_realizations,
     order_realizations,
     precedes,
@@ -205,23 +204,6 @@ class TestStateCap:
         monkeypatch.setattr(events, "STATE_CAP", 16)
         assert count_realizations(UncertainLog((self.WIDE,))) == 1
         assert len(order_realizations(self.WIDE)) == len(topological_sortings(behavior_graph(self.WIDE))) == 24
-
-
-class TestCertainView:
-    def test_certain_trace(self):
-        trace = UncertainTrace(
-            "c", (certain_event("x", "b", 2), certain_event("y", "a", 1))
-        )
-        assert certain_view(trace) == ("a", "b")
-
-    def test_uncertain_trace_has_no_view(self):
-        assert certain_view(running_example()) is None
-
-    def test_equal_point_timestamps_ambiguous(self):
-        trace = UncertainTrace(
-            "c", (certain_event("x", "a", 1), certain_event("y", "b", 1))
-        )
-        assert certain_view(trace) is None
 
 
 class TestValidation:

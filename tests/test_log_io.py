@@ -124,6 +124,10 @@ class TestJsonLog:
         with pytest.raises(ValidationError, match=f"trace 'c': event 'e1': '{field}' is a number, not a string"):
             load_log(self.one_event(**{field: 5}), "json")
 
+    def test_non_string_activity_rejected(self):
+        with pytest.raises(ValidationError, match="trace 'c': event 'e1': activity 1 is null, not a string"):
+            load_log(self.one_event(activities=["a", None]), "json")
+
     def test_malformed_timestamp_names_event(self):
         with pytest.raises(ValidationError, match="trace 'c': event 'e1': not a UTC"):
             load_log(self.one_event(t_max="yesterday"), "json")
@@ -277,8 +281,9 @@ class TestNetIo:
         ("places", ["p1", "p2", 7], r"net field 'places': entry 2 is a number, not a string"),
         ("initial_marking", ["p1"], r"net field 'initial_marking' is an array, not an object"),
         ("initial_marking", {"p1": True}, r"net field 'initial_marking': count for 'p1' is a boolean, not an integer"),
+        ("transitions", [{"id": "t1", "label": 5}], r"net transition 't1': 'label' is a number, not a string"),
     ], ids=["three-element-arc", "number-places", "string-transition", "number-transition", "number-place",
-            "array-marking", "boolean-count"])
+            "array-marking", "boolean-count", "number-label"])
     def test_wrong_typed_field_rejected(self, field, value, message):
         doc = {
             "places": ["p1", "p2"],

@@ -1,4 +1,4 @@
-"""Token-game semantics, event nets, product nets, bounded language."""
+"""Token-game semantics, event nets, bounded language."""
 import pytest
 from helpers import icu_model
 
@@ -11,9 +11,8 @@ from uncertain_conform import (
     enabled,
     event_net,
     fire,
-    is_perfectly_fitting,
     language,
-    product_net,
+    optimal_alignment,
     random_block_net,
 )
 
@@ -131,52 +130,6 @@ class TestEventNet:
             assert language(event_net(trace), len(trace)) == {trace}
 
 
-class TestProductNet:
-    def test_synchronous_pair_counted(self):
-        s1 = event_net(["a"])
-        s2 = event_net(["a"])
-        product = product_net(s1, s2)
-        assert len(product.net.transitions) == 3
-
-    def test_no_shared_label_no_sync(self):
-        product = product_net(event_net(["a"]), event_net(["b"]))
-        assert len(product.net.transitions) == 2
-
-    def test_sync_count_against_icu(self):
-        icu = icu_model()
-        s1 = event_net(["Access", "Triage", "Access"])
-        product = product_net(s1, icu)
-        icu_label_count = {}
-        for t, label in icu.net.labels.items():
-            icu_label_count[label] = icu_label_count.get(label, 0) + 1
-        expected_sync = sum(icu_label_count.get(label, 0) for label in ("Access", "Triage", "Access"))
-        assert len(product.net.transitions) == 3 + 16 + expected_sync
-
-    def test_transition_count_formula_on_random_nets(self):
-        for seed in range(6):
-            s1 = random_block_net(3, f"prodA{seed}")
-            s2 = random_block_net(4, f"prodB{seed}")
-            sync = sum(
-                1
-                for t1, l1 in s1.net.labels.items()
-                for t2, l2 in s2.net.labels.items()
-                if l1 == l2
-            )
-            product = product_net(s1, s2)
-            expected = len(s1.net.transitions) + len(s2.net.transitions) + sync
-            assert len(product.net.transitions) == expected
-
-    def test_product_markings_are_unions(self):
-        s1, s2 = event_net(["a"]), event_net(["b"])
-        product = product_net(s1, s2)
-        assert product.initial_marking.total() == 2
-        assert product.final_marking.total() == 2
-
-    def test_product_language_interleaves(self):
-        product = product_net(event_net(["a"]), event_net(["b"]))
-        assert language(product, 2) == {("a", "b"), ("b", "a")}
-
-
 class TestLanguage:
     def test_too_short_to_complete(self):
         assert language(event_net(["a", "b"]), 1) == set()
@@ -201,19 +154,20 @@ class TestLanguage:
 
 
 class TestPerfectFitting:
+    # A log fits a net perfectly when every trace aligns at cost 0.
     def test_icu_fitting_trace(self):
         icu = icu_model()
         trace = [
             "Access", "Triage", "Visit", "ConsultancyBegin", "R1", "R2", "R3", "R4",
             "ConsultancyEnd", "Dismissal", "Exit",
         ]
-        assert is_perfectly_fitting([trace], icu)
+        assert optimal_alignment(trace, icu).cost == 0
 
     def test_single_trace_fits_its_event_net(self):
-        assert is_perfectly_fitting([["a"]], event_net(["a"]))
+        assert optimal_alignment(["a"], event_net(["a"])).cost == 0
 
     def test_wrong_label_does_not_fit(self):
-        assert not is_perfectly_fitting([["b"]], event_net(["a"]))
+        assert optimal_alignment(["b"], event_net(["a"])).cost > 0
 
 
 class TestMarking:
