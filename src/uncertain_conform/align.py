@@ -27,12 +27,16 @@ to the nearest state with ``pre == post``, ties going to the in-edge listed
 first (source state, then transition id); the transfer before it is a
 synchronous move, else a trace-side skip, else a log move.
 
-The lower bound is one search over the lattice; the upper bound walks the
-same lattice (:func:`events.linear_words`) to list the realizations and
-aligns each one. :func:`log_bounds` builds each trace's lattice once for
-both. Memory is linear in the model's edges plus the two tables, which
-:data:`PRODUCT_CAP` bounds; :data:`events.STATE_CAP` bounds the model's
-states and each lattice.
+The lower bound is one search over the lattice. The upper bound walks the
+lattice's subset construction (:func:`events.word_dag`) in lexicographic
+order of prefixes, one closed DP row per prefix, each one step of the same
+forward kernel (:func:`_transfer`) from its parent's; a prefix whose row an
+earlier prefix's row at the same walk node dominates is dropped, as in the
+antichain algorithms for automata. The realization count is the walk DAG's
+path count. :func:`log_bounds` builds each trace's lattice once for both.
+Memory is linear in the model's edges plus the two tables or the kept rows,
+which :data:`PRODUCT_CAP` bounds; :data:`events.STATE_CAP` bounds the
+model's states, each lattice and each walk DAG.
 """
 from __future__ import annotations
 
@@ -46,7 +50,9 @@ import numpy as np
 
 from . import events
 from .errors import CapExceeded, ValidationError
-from .events import EnumerationCaps, Lattice, UncertainLog, UncertainTrace, iter_realizations, trace_lattice
+from .events import (
+    EnumerationCaps, Lattice, UncertainLog, UncertainTrace, WordDag, iter_realizations, realization_dag, trace_lattice,
+)
 from .petri import SystemNet
 
 #: Cells (trace-side states x model states) of one alignment's two float64 tables.
@@ -380,21 +386,27 @@ def _forward(
     pre[first, rg.initial] = 0.0
     post[first] = moves.initial_row
     for b in order[1:]:
-        acc = pre[b]
-        # Rows built from closed rows by log moves and skips stay closed; only
-        # synchronous landings open them, and only past their targets.
         start = len(moves.levels)
         for src, label, _ in in_edges[b]:
-            base = post[src]
-            np.minimum(acc, base + (0.0 if label is None else log_cost), out=acc)
-            sync = moves.sync.get(label)
-            if sync is not None:
-                sources, targets, level = sync
-                np.minimum.at(acc, targets, base[sources])
-                start = min(start, level)
-        post[b] = acc
+            start = min(start, _transfer(pre[b], post[src], label, moves, log_cost))
+        post[b] = pre[b]
         moves.relax(post[b], start)
     return pre, post
+
+
+def _transfer(acc: np.ndarray, base: np.ndarray, label: str | None, moves: _ModelMoves, log_cost: float) -> int:
+    """Fold one trace-side step from the closed row ``base`` into ``acc``: the
+    log move on ``label`` (a free skip when None), then its synchronous
+    landings. Returns the level from which ``moves.relax`` must close the
+    result: rows built from closed rows by log moves and skips stay closed,
+    and a synchronous landing opens them only past its targets."""
+    np.minimum(acc, base + (0.0 if label is None else log_cost), out=acc)
+    sync = moves.sync.get(label)
+    if sync is None:
+        return len(moves.levels)
+    sources, targets, level = sync
+    np.minimum.at(acc, targets, base[sources])
+    return level
 
 
 def _witness(
@@ -508,25 +520,55 @@ def lower_bound_bruteforce(
     return int(min(costs))  # traces are nonempty, so at least one realization exists
 
 
-def _costliest_realization(
-    trace: UncertainTrace, lattice: Lattice, moves: _ModelMoves, cost: CostFunction,
-    caps: EnumerationCaps | None,
-) -> tuple[int, Alignment]:
-    """Realization count and the witness of the first costliest realization
-    in lexicographic order, from a walk over the trace's ``lattice``.
+def _costliest_realization(dag: WordDag, moves: _ModelMoves, cost: CostFunction) -> Alignment:
+    """The witness of the first costliest realization in lexicographic order:
+    one walk over ``dag``, the trace's determinized lattice.
 
-    The realizations are listed before any is aligned, so a trace over the
-    realization cap costs no alignment. Each realization is aligned once; the
-    tables of the costliest one so far are kept for its witness.
+    Each prefix carries its closed DP row, one :func:`_transfer` and relax
+    from its parent's. Prefixes are taken in lexicographic order, and one
+    whose row a row kept earlier at the same walk node bounds from above is
+    dropped: the walk node fixes the completions, so each completion costs
+    at least as much after the earlier prefix and comes first in that order.
+    The winner's ``pre`` rows are rebuilt from its kept rows for the witness.
+    Kept rows times model states are capped by :data:`PRODUCT_CAP`.
     """
-    seqs = list(iter_realizations(trace, caps, lattice))
-    worst = -np.inf
-    for seq in seqs:
-        tables = _sequence_cost(seq, moves, cost)
-        value = tables[1][-1, moves.rg.final]
-        if value > worst:
-            worst, worst_seq, worst_tables = value, seq, tables
-    return len(seqs), _witness(_chain(worst_seq), len(worst_seq), *worst_tables, moves, cost)
+    rg = moves.rg
+    log_cost = float(cost.log_move)
+    rows, parents, symbols = [moves.initial_row], [0], [None]  # per kept prefix
+    kept: list[list[np.ndarray]] = [[] for _ in dag.children]
+    kept[0].append(moves.initial_row)
+    best, winner = (moves.initial_row[rg.final], 0) if dag.accepting[0] else (-np.inf, None)
+    stack = [(0, symbol, child) for symbol, child in reversed(dag.children[0])]
+    while stack:
+        parent, symbol, w = stack.pop()
+        row = np.full(rg.n, np.inf)
+        moves.relax(row, _transfer(row, rows[parent], symbol, moves, log_cost))
+        if any((other >= row).all() for other in kept[w]):
+            continue
+        if (len(rows) + 1) * rg.n > PRODUCT_CAP:
+            raise CapExceeded(
+                f"upper-bound walk keeps {len(rows) + 1} rows x {rg.n} model states, over the product cap ({PRODUCT_CAP})"
+            )
+        kept[w].append(row)
+        entry = len(rows)
+        rows.append(row)
+        parents.append(parent)
+        symbols.append(symbol)
+        if dag.accepting[w] and row[rg.final] > best:
+            best, winner = row[rg.final], entry
+        stack.extend((entry, label, child) for label, child in reversed(dag.children[w]))
+    path = []
+    while winner:
+        path.append(winner)
+        winner = parents[winner]
+    path.reverse()
+    word = [symbols[k] for k in path]
+    post = np.array([rows[0]] + [rows[k] for k in path])
+    pre = np.full_like(post, np.inf)
+    pre[0, rg.initial] = 0.0
+    for i, label in enumerate(word, 1):
+        _transfer(pre[i], post[i - 1], label, moves, log_cost)
+    return _witness(_chain(word), len(word), pre, post, moves, cost)
 
 
 def upper_bound(
@@ -537,11 +579,14 @@ def upper_bound(
 ) -> tuple[int, Alignment]:
     """Worst-case conformance cost over all realizations, with a witness.
 
-    Enumerates realizations (bounded by ``caps``) and aligns each one. The
+    One walk over the trace's determinized lattice carries an alignment row
+    per prefix and drops the prefixes an earlier one dominates; the
+    realization cap (``caps``) is checked on the path count before it. The
     witness aligns the first realization attaining the maximum in
     lexicographic order of activity sequences.
     """
-    _, alignment = _costliest_realization(trace, trace_lattice(trace), _model_structures(model, cost), cost, caps)
+    dag = realization_dag(trace, caps)
+    alignment = _costliest_realization(dag, _model_structures(model, cost), cost)
     return alignment.cost, alignment
 
 
@@ -594,9 +639,12 @@ def log_bounds(
     """Bounds for each trace; per-trace cap errors are recorded, not fatal.
 
     Each trace's lattice of order ideals is built once and serves both
-    bounds. When only the (enumeration-bound) upper side caps, the lower
-    bound is still reported. Both totals sum the same traces: those whose
-    upper bound was computed. A capped row counts in neither.
+    bounds. A lattice with one maximal path (no node with two out-edges)
+    spells one realization whose chain tables are the lower bound's, so its
+    upper bound and witness are the lower ones. When only the upper side
+    caps, the lower bound is still reported. Both totals sum the same
+    traces: those whose upper bound was computed. A capped row counts in
+    neither.
     """
     moves = _model_structures(model, cost)
     reports: list[BoundsReport] = []
@@ -608,7 +656,11 @@ def log_bounds(
         try:
             lattice = trace_lattice(trace)
             low, low_witness = lower_bound(trace, model, cost, lattice)
-            count, up_witness = _costliest_realization(trace, lattice, moves, cost, caps)
+            if all(len(edges) <= 1 for edges in lattice):
+                count, up_witness = 1, low_witness
+            else:
+                dag = realization_dag(trace, caps, lattice)
+                count, up_witness = dag.count, _costliest_realization(dag, moves, cost)
         except CapExceeded as exc:
             reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
             continue

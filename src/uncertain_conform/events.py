@@ -10,11 +10,14 @@ graph (:func:`behavior.behavior_graph`) and every lattice read it as
 per-event predecessor bitmasks. A trace's state space is the lattice of
 order ideals of that order (:func:`trace_lattice`): the reachability graph
 of its behavior net, built without the net and capped by :data:`STATE_CAP`.
-The lower bound searches it; :func:`linear_words` determinizes it to list
-the distinct words of the linear extensions, each once and in lexicographic
-order. Realizations (each event emits one of its labels, or nothing when
-indeterminate), orderings (each event emits its id) and behavior-graph
-sortings all come from that walk over a capped lattice.
+The lower bound searches it. :func:`word_dag` determinizes it (a subset
+construction, also capped by :data:`STATE_CAP`): its paths spell the
+distinct words of the linear extensions, its path counts count them without
+listing, and :func:`linear_words` lists them, each once and in
+lexicographic order. Realizations (each event emits one of its labels, or
+nothing when indeterminate), orderings (each event emits its id) and
+behavior-graph sortings all come from that construction; the upper bound
+walks it with one alignment row per prefix.
 """
 from __future__ import annotations
 
@@ -198,47 +201,83 @@ def _ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], owner
     return order_ideals(preds, steps, STATE_CAP, f"{owner} has more order ideals than the state cap ({STATE_CAP})")
 
 
-def linear_words(lattice: Lattice, cap: int, cap_message: str) -> Iterator[tuple[str, ...]]:
-    """The distinct words spelled by the maximal paths of an ideal lattice.
+@dataclass(frozen=True)
+class WordDag:
+    """The subset construction of an ideal lattice: one walk node per set of
+    lattice nodes that the paths spelling some prefix reach, closed under
+    None steps. Walk node 0 holds the empty prefix.
 
-    ``lattice`` holds out-edges as :func:`order_ideals` returns them: every
-    path from the empty ideal to the full one places each element once, and
-    spells the symbols of its edges; a None symbol spells nothing.
+    ``children[w]`` lists (symbol, child) in sorted symbol order, so a walk
+    that takes the children in that order, each word before its extensions,
+    spells each distinct word once, in lexicographic order. ``accepting[w]``
+    tells whether w holds the full ideal. ``count`` is the number of
+    accepting paths from walk node 0: the number of distinct words.
+    """
 
-    Each walk node is the set of lattice nodes that some path spelling the
-    node's prefix can reach, closed under None steps (a subset construction).
-    Children follow in sorted symbol order and a word comes before its
-    extensions, so each distinct word is visited once, in lexicographic
-    order. Raises CapExceeded with ``cap_message`` when more than ``cap``
-    words are spelled.
+    children: list[list[tuple[str, int]]]
+    accepting: list[bool]
+    count: int
+
+
+def word_dag(lattice: Lattice, cap: int, cap_message: str, owner: str) -> WordDag:
+    """The :class:`WordDag` of a lattice given by :func:`order_ideals`.
+
+    Every path of ``lattice`` from the empty ideal to the full one places
+    each element once and spells the symbols of its edges; a None symbol
+    spells nothing. More walk nodes than :data:`STATE_CAP` raise
+    CapExceeded naming ``owner``; more than ``cap`` words raise it with
+    ``cap_message``, from the path count, before any word is listed.
     """
     full = len(lattice) - 1
 
-    def close(node: set[int]) -> set[int]:
+    def close(node: set[int]) -> frozenset[int]:
         todo = list(node)
         while todo:
             for _, symbol, nxt in lattice[todo.pop()]:
                 if symbol is None and nxt not in node:
                     node.add(nxt)
                     todo.append(nxt)
-        return node
+        return frozenset(node)
 
-    count = 0
-    stack = [((), close({0}))]
-    while stack:
-        word, node = stack.pop()
-        if full in node:
-            count += 1
-            if count > cap:
-                raise CapExceeded(cap_message)
-            yield word
-        children: dict[str, set[int]] = {}
+    nodes = [close({0})]
+    index = {nodes[0]: 0}
+    children: list[list[tuple[str, int]]] = []
+    for node in nodes:  # a BFS queue: the loop reaches the nodes appended in it
+        steps: dict[str, set[int]] = {}
         for v in node:
             for _, symbol, nxt in lattice[v]:
                 if symbol is not None:
-                    children.setdefault(symbol, set()).add(nxt)
-        for symbol in sorted(children, reverse=True):
-            stack.append((word + (symbol,), close(children[symbol])))
+                    steps.setdefault(symbol, set()).add(nxt)
+        out = []
+        for symbol in sorted(steps):
+            child = close(steps[symbol])
+            if child not in index:
+                if len(nodes) >= STATE_CAP:
+                    raise CapExceeded(f"{owner} has more walk nodes than the state cap ({STATE_CAP})")
+                index[child] = len(nodes)
+                nodes.append(child)
+            out.append((symbol, index[child]))
+        children.append(out)
+    accepting = [full in node for node in nodes]
+    # Accepting paths per walk node. Lattice nodes are numbered breadth-first,
+    # so every step leads to a higher number, and so does a walk node's least
+    # one: this order is topological.
+    paths = [0] * len(nodes)
+    for w in sorted(range(len(nodes)), key=lambda w: min(nodes[w]), reverse=True):
+        paths[w] = accepting[w] + sum(paths[c] for _, c in children[w])
+    if paths[0] > cap:
+        raise CapExceeded(cap_message)
+    return WordDag(children, accepting, paths[0])
+
+
+def linear_words(dag: WordDag) -> Iterator[tuple[str, ...]]:
+    """The words of a :class:`WordDag`, each once, in lexicographic order."""
+    stack = [((), 0)]
+    while stack:
+        word, w = stack.pop()
+        if dag.accepting[w]:
+            yield word
+        stack.extend((word + (symbol,), child) for symbol, child in reversed(dag.children[w]))
 
 
 def _by_id(trace: UncertainTrace) -> tuple[list[UncertainEvent], list[int]]:
@@ -274,10 +313,26 @@ def order_realizations(
     """All event-id permutations that are linear extensions of the timestamp
     order, in lexicographic order. The realization cap counts orderings."""
     caps = caps or EnumerationCaps.from_env()
+    owner = f"trace {trace.case_id!r}"
     events, preds = _by_id(trace)
-    lattice = _ideals(preds, [(i, e.id) for i, e in enumerate(events)], f"trace {trace.case_id!r}")
-    message = f"trace {trace.case_id!r} has more orderings than the realization cap ({caps.max_realizations})"
-    return list(linear_words(lattice, caps.max_realizations, message))
+    lattice = _ideals(preds, [(i, e.id) for i, e in enumerate(events)], owner)
+    message = f"{owner} has more orderings than the realization cap ({caps.max_realizations})"
+    return list(linear_words(word_dag(lattice, caps.max_realizations, message, owner)))
+
+
+def realization_dag(
+    trace: UncertainTrace, caps: EnumerationCaps | None = None, lattice: Lattice | None = None
+) -> WordDag:
+    """The :class:`WordDag` of the trace's realizations, over ``lattice``, the
+    trace's :func:`trace_lattice`, built here when not given.
+
+    The realization cap counts distinct realizations and is checked on the
+    path count, before any realization is listed or aligned.
+    """
+    caps = caps or EnumerationCaps.from_env()
+    owner = f"trace {trace.case_id!r}"
+    message = f"{owner} exceeds the realization cap ({caps.max_realizations})"
+    return word_dag(trace_lattice(trace) if lattice is None else lattice, caps.max_realizations, message, owner)
 
 
 def iter_realizations(
@@ -286,13 +341,11 @@ def iter_realizations(
     """Distinct realizations, in lexicographic order of activity sequences.
 
     Each event emits one of its labels where it is placed; an indeterminate
-    event may also emit nothing. The walk runs over ``lattice``, the trace's
-    :func:`trace_lattice`, built here when not given. The realization cap
-    counts distinct realizations.
+    event may also emit nothing. The cap and ``lattice`` are as for
+    :func:`realization_dag`; a trace over the cap raises here, before the
+    first realization.
     """
-    caps = caps or EnumerationCaps.from_env()
-    message = f"trace {trace.case_id!r} exceeds the realization cap ({caps.max_realizations})"
-    return linear_words(trace_lattice(trace) if lattice is None else lattice, caps.max_realizations, message)
+    return linear_words(realization_dag(trace, caps, lattice))
 
 
 def realizations(trace: UncertainTrace, caps: EnumerationCaps | None = None) -> set[tuple[str, ...]]:
@@ -301,11 +354,12 @@ def realizations(trace: UncertainTrace, caps: EnumerationCaps | None = None) -> 
 
 
 def count_realizations(log: UncertainLog, caps: EnumerationCaps | None = None) -> int:
-    """Sum of per-trace realization counts; cap errors name the offending case."""
+    """Sum of per-trace realization counts, read off path counts without
+    listing; cap errors name the offending case."""
     total = 0
     for trace in log:
         try:
-            total += sum(1 for _ in iter_realizations(trace, caps))
+            total += realization_dag(trace, caps).count
         except CapExceeded as exc:
             raise CapExceeded(f"case {trace.case_id!r}: {exc}") from exc
     return total

@@ -127,6 +127,7 @@ def _event_from_dict(raw, context: str, position: int) -> UncertainEvent:
         stamps = {key: raw[key] for key in ("t_min", "t_max")}
     except KeyError as exc:
         raise ValidationError(f"{context}: event is missing field {exc.args[0]!r}") from exc
+    _expect(event_id, str, f"{context}: event {position}: 'id'")
     where = f"{context}: event {event_id!r}"
     if not isinstance(activities, list) or not activities:
         raise ValidationError(f"{where} needs a nonempty activity list")
@@ -137,7 +138,7 @@ def _event_from_dict(raw, context: str, position: int) -> UncertainEvent:
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
     return UncertainEvent(
-        id=str(event_id),
+        id=event_id,
         activities=labels,
         t_min=t_min,
         t_max=t_max,
@@ -152,7 +153,7 @@ def log_from_dict(doc: dict) -> UncertainLog:
     traces = []
     for i, raw_trace in enumerate(_expect(doc["traces"], list, "log field 'traces'")):
         raw_trace = _expect(raw_trace, dict, f"trace {i}")
-        case_id = str(raw_trace.get("case_id", f"case{i}"))
+        case_id = _expect(raw_trace.get("case_id", f"case{i}"), str, f"trace {i}: 'case_id'")
         context = f"trace {case_id!r}"
         raw_events = _expect(raw_trace.get("events", []), list, f"{context}: 'events'")
         events = [_event_from_dict(raw, context, j) for j, raw in enumerate(raw_events)]
@@ -346,7 +347,7 @@ def net_from_dict(doc: dict) -> SystemNet:
     for i, entry in enumerate(raw_transitions):
         if "id" not in _expect(entry, dict, f"net field 'transitions': entry {i}"):
             raise ValidationError("net transition entry without an 'id'")
-        tid = str(entry["id"])
+        tid = _expect(entry["id"], str, f"net field 'transitions': entry {i}: 'id'")
         ids.append(tid)
         if entry.get("label") is not None:
             labels[tid] = _expect(entry["label"], str, f"net transition {tid!r}: 'label'")

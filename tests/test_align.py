@@ -5,7 +5,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from helpers import DATA_DIR, alignment_cost_by_language, uncertain_traces
+from helpers import DATA_DIR, alignment_cost_by_language, models_and_traces, uncertain_traces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -584,17 +584,58 @@ class TestBruteForceAgreement:
             assert (low, up) == (min(costs), max(costs))
 
 
+def first_costliest(trace, model, cost):
+    """The first costliest realization in lexicographic order and its
+    alignment, each realization aligned by its own chain DP."""
+    moves = align._model_structures(model, cost)
+    worst = None
+    for seq in events.iter_realizations(trace):
+        pre, post = align._sequence_cost(seq, moves, cost)
+        if worst is None or post[-1, moves.rg.final] > worst[0]:
+            worst = post[-1, moves.rg.final], seq, pre, post
+    _, seq, pre, post = worst
+    return align._witness(align._chain(seq), len(seq), pre, post, moves, cost)
+
+
+class TestUpperBoundWalk:
+    """The dominance-pruned walk against aligning every realization."""
+
+    @given(models_and_traces(max_events=6, max_transitions=8), st.sampled_from([(1, 1), (2, 1), (1, 3)]))
+    @settings(max_examples=120, deadline=None)
+    def test_walk_matches_first_maximum_over_realizations(self, model_and_trace, costs):
+        model, trace = model_and_trace
+        cost = CostFunction(*costs)
+        expected = first_costliest(trace, model, cost)
+        assert upper_bound(trace, model, cost) == (expected.cost, expected)
+        report = log_bounds(UncertainLog((trace,)), model, cost).reports[0]
+        assert report.upper_witness == expected
+        assert report.realization_count == len(realizations(trace))
+
+    def test_chain_lattice_upper_witness_is_the_lower_witness(self):
+        # Disjoint intervals, one label each: the lattice is a chain.
+        model = event_net(["a", "b", "c"])
+        trace = UncertainTrace("c", (certain_event("e0", "b", 0), UncertainEvent("e1", frozenset({"a"}), 2, 5),
+                                     certain_event("e2", "d", 9)))
+        assert all(len(edges) <= 1 for edges in events.trace_lattice(trace))
+        report = log_bounds(UncertainLog((trace,)), model).reports[0]
+        assert report.realization_count == 1
+        assert report.upper_witness is report.lower_witness
+        assert report.upper_cost == report.lower_cost == upper_bound(trace, model)[0] == 4
+        assert upper_bound(trace, model)[1] == report.lower_witness
+
+    def test_kept_rows_are_capped(self, monkeypatch):
+        trace = UncertainTrace("w", tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 9) for i in range(3)))
+        model = event_net(["a", "b"])  # 3 states
+        monkeypatch.setattr(align, "PRODUCT_CAP", 21)  # the walk keeps 7 rows
+        assert upper_bound(trace, model)[0] == 3
+        monkeypatch.setattr(align, "PRODUCT_CAP", 20)
+        with pytest.raises(CapExceeded, match=r"upper-bound walk keeps 7 rows x 3 model states.*product cap \(20\)"):
+            upper_bound(trace, model)
+
+
 class TestBenchmarkHooks:
     """The benchmark's tracer (bench/child.py) counts and times the layers by
     replacing module attributes of ``align`` at run time."""
-
-    def test_log_bounds_aligns_each_realization_through_sequence_cost(self, monkeypatch):
-        calls = []
-        real = align._sequence_cost
-        monkeypatch.setattr(align, "_sequence_cost", lambda *args: calls.append(args) or real(*args))
-        log = UncertainLog((running_example(), UncertainTrace("c", (certain_event("s", "Adm", 1),))))
-        result = log_bounds(log, event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"]))
-        assert len(calls) == sum(r.realization_count for r in result.reports) == 11
 
     def test_log_bounds_builds_no_net_for_traces(self, monkeypatch):
         model = event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"])

@@ -78,6 +78,21 @@ class TestBounds:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: trace 'c': event 'e1': 'indeterminate'")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("case_id", None, "trace 0: 'case_id' is null"),
+        ("id", 7, "trace 'c': event 0: 'id' is a number"),
+    ])
+    def test_non_string_id_exits_1(self, tmp_path, capsys, field, value, message):
+        event = {"id": "e1", "activities": ["Adm"], "t_min": "1970-01-01T00:00:00Z", "t_max": "1970-01-01T00:00:00Z"}
+        trace = {"case_id": "c", "events": [event]}
+        (trace if field == "case_id" else event)[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"traces": [trace]}))
+        code = main(["bounds", "--log", str(bad), "--net", str(DATA_DIR / "icu_net.json"), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
     def test_wrong_typed_net_field_exits_1(self, tmp_path, capsys):
         net = json.loads((DATA_DIR / "icu_net.json").read_text())
         net["arcs"][0].append("p2")

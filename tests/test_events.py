@@ -206,6 +206,32 @@ class TestStateCap:
         assert len(order_realizations(self.WIDE)) == len(topological_sortings(behavior_graph(self.WIDE))) == 24
 
 
+class TestWalkCaps:
+    """The determinized lattice is capped by its walk nodes, and the
+    realization cap is read off its path counts, before any listing."""
+
+    def test_wide_antichain_rejected_by_path_count(self, monkeypatch):
+        # 16 overlapping events with 3 labels: 2^16 ideals, 3^16 realizations.
+        trace = UncertainTrace("anti", tuple(UncertainEvent(f"e{i:02}", frozenset("abc"), 0, 9) for i in range(16)))
+        lattice = events.trace_lattice(trace)
+        monkeypatch.setattr(events, "linear_words", None)  # a listing would fail
+        with pytest.raises(CapExceeded, match=r"trace 'anti' exceeds the realization cap \(100000\)"):
+            events.realization_dag(trace, EnumerationCaps(max_realizations=10**5), lattice)
+        monkeypatch.setattr(events, "STATE_CAP", 17)  # one walk node per number of placed events
+        assert events.realization_dag(trace, EnumerationCaps(max_realizations=3**16), lattice).count == 3**16
+
+    def test_walk_nodes_over_the_state_cap(self, monkeypatch):
+        # 4 ideals, but 5 walk nodes: after "a" either event may be placed.
+        trace = UncertainTrace("two", (UncertainEvent("e0", frozenset("ab"), 0, 9),
+                                       UncertainEvent("e1", frozenset("ac"), 0, 9)))
+        monkeypatch.setattr(events, "STATE_CAP", 5)
+        assert count_realizations(UncertainLog((trace,))) == len(realizations(trace)) == 7
+        monkeypatch.setattr(events, "STATE_CAP", 4)
+        assert len(events.trace_lattice(trace)) == 4
+        with pytest.raises(CapExceeded, match=r"case 'two': trace 'two' has more walk nodes than the state cap \(4\)"):
+            count_realizations(UncertainLog((trace,)))
+
+
 class TestValidation:
     def test_empty_activity_set(self):
         with pytest.raises(ValidationError):

@@ -128,6 +128,14 @@ class TestJsonLog:
         with pytest.raises(ValidationError, match="trace 'c': event 'e1': activity 1 is null, not a string"):
             load_log(self.one_event(activities=["a", None]), "json")
 
+    def test_non_string_ids_rejected(self):
+        with pytest.raises(ValidationError, match="trace 'c': event 0: 'id' is a number, not a string"):
+            load_log(self.one_event(id=7), "json")
+        doc = json.loads(self.one_event())
+        doc["traces"][0]["case_id"] = None
+        with pytest.raises(ValidationError, match="trace 0: 'case_id' is null, not a string"):
+            load_log(json.dumps(doc).encode(), "json")
+
     def test_malformed_timestamp_names_event(self):
         with pytest.raises(ValidationError, match="trace 'c': event 'e1': not a UTC"):
             load_log(self.one_event(t_max="yesterday"), "json")
@@ -282,8 +290,9 @@ class TestNetIo:
         ("initial_marking", ["p1"], r"net field 'initial_marking' is an array, not an object"),
         ("initial_marking", {"p1": True}, r"net field 'initial_marking': count for 'p1' is a boolean, not an integer"),
         ("transitions", [{"id": "t1", "label": 5}], r"net transition 't1': 'label' is a number, not a string"),
+        ("transitions", [{"id": 5, "label": "a"}], r"net field 'transitions': entry 0: 'id' is a number, not a string"),
     ], ids=["three-element-arc", "number-places", "string-transition", "number-transition", "number-place",
-            "array-marking", "boolean-count", "number-label"])
+            "array-marking", "boolean-count", "number-label", "number-id"])
     def test_wrong_typed_field_rejected(self, field, value, message):
         doc = {
             "places": ["p1", "p2"],
