@@ -33,7 +33,8 @@ order of prefixes, one closed DP row per prefix, each one step of the same
 forward kernel (:func:`_transfer`) from its parent's; a prefix whose row an
 earlier prefix's row at the same walk node dominates is dropped, as in the
 antichain algorithms for automata. The realization count is the walk DAG's
-path count. :func:`log_bounds` builds each trace's lattice once for both.
+path count. :func:`log_bounds` builds each trace's lattice once for both,
+and aligns traces of equal shape (:func:`events.lattice_key`) once per call.
 Memory is linear in the model's edges plus the two tables or the kept rows,
 which :data:`PRODUCT_CAP` bounds; :data:`events.STATE_CAP` bounds the
 model's states, each lattice and each walk DAG.
@@ -51,7 +52,8 @@ import numpy as np
 from . import events
 from .errors import CapExceeded, ValidationError
 from .events import (
-    EnumerationCaps, Lattice, UncertainLog, UncertainTrace, WordDag, iter_realizations, realization_dag, trace_lattice,
+    EnumerationCaps, Lattice, LatticeKey, UncertainLog, UncertainTrace, WordDag, iter_realizations, lattice_key,
+    realization_dag, trace_lattice,
 )
 from .petri import SystemNet
 
@@ -645,25 +647,37 @@ def log_bounds(
     caps, the lower bound is still reported. Both totals sum the same
     traces: those whose upper bound was computed. A capped row counts in
     neither.
+
+    Traces of equal shape are aligned once per call. The bounds, both
+    witnesses and the count read only the model and the trace's lattice,
+    which its :func:`events.lattice_key` fixes node for node and edge for
+    edge; case and event ids reach none of them. A trace whose key was seen
+    uncapped reuses that result. A capped shape is not kept, so each capped
+    trace is searched again and its error names its own case.
     """
     moves = _model_structures(model, cost)
+    shapes: dict[LatticeKey, tuple[int, Alignment, int, Alignment]] = {}
     reports: list[BoundsReport] = []
     total_lower = 0
     total_upper = 0
     for trace in log:
-        low: int | None = None
-        low_witness: Alignment | None = None
-        try:
-            lattice = trace_lattice(trace)
-            low, low_witness = lower_bound(trace, model, cost, lattice)
-            if all(len(edges) <= 1 for edges in lattice):
-                count, up_witness = 1, low_witness
-            else:
-                dag = realization_dag(trace, caps, lattice)
-                count, up_witness = dag.count, _costliest_realization(dag, moves, cost)
-        except CapExceeded as exc:
-            reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
-            continue
+        key = lattice_key(trace)
+        if key not in shapes:
+            low: int | None = None
+            low_witness: Alignment | None = None
+            try:
+                lattice = trace_lattice(trace, key)
+                low, low_witness = lower_bound(trace, model, cost, lattice)
+                if all(len(edges) <= 1 for edges in lattice):
+                    count, up_witness = 1, low_witness
+                else:
+                    dag = realization_dag(trace, caps, lattice)
+                    count, up_witness = dag.count, _costliest_realization(dag, moves, cost)
+            except CapExceeded as exc:
+                reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
+                continue
+            shapes[key] = low, low_witness, count, up_witness
+        low, low_witness, count, up_witness = shapes[key]
         reports.append(BoundsReport(trace.case_id, low, up_witness.cost, low_witness, up_witness, count))
         total_lower += low
         total_upper += up_witness.cost

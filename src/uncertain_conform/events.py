@@ -9,7 +9,8 @@ only their total order matters here.
 graph (:func:`behavior.behavior_graph`) and every lattice read it as
 per-event predecessor bitmasks. A trace's state space is the lattice of
 order ideals of that order (:func:`trace_lattice`): the reachability graph
-of its behavior net, built without the net and capped by :data:`STATE_CAP`.
+of its behavior net, built without the net and capped by :data:`STATE_CAP`,
+from :func:`lattice_key`, which traces of equal shape share.
 The lower bound searches it. :func:`word_dag` determinizes it (a subset
 construction, also capped by :data:`STATE_CAP`): its paths spell the
 distinct words of the linear extensions, its path counts count them without
@@ -38,6 +39,10 @@ STATE_CAP = 200_000
 
 #: A lattice of order ideals by its out-edges: per node, (element, symbol, target).
 Lattice = list[list[tuple[int, str | None, int]]]
+
+#: What fixes a trace's lattice: each event's predecessor bitmask and the
+#: (event index, label or None) steps in edge order, events indexed by id.
+LatticeKey = tuple[tuple[int, ...], tuple[tuple[int, str | None], ...]]
 
 
 @dataclass(frozen=True)
@@ -229,12 +234,16 @@ def word_dag(lattice: Lattice, cap: int, cap_message: str, owner: str) -> WordDa
     ``cap_message``, from the path count, before any word is listed.
     """
     full = len(lattice) - 1
+    # Each lattice node's skip targets (None out-edges), collected once; a
+    # lattice without an indeterminate event has none, and close walks nothing.
+    has_skip = any(symbol is None for edges in lattice for _, symbol, _ in edges)
+    skips = [[nxt for _, symbol, nxt in edges if symbol is None] for edges in lattice] if has_skip else []
 
     def close(node: set[int]) -> frozenset[int]:
-        todo = list(node)
+        todo = list(node) if has_skip else []
         while todo:
-            for _, symbol, nxt in lattice[todo.pop()]:
-                if symbol is None and nxt not in node:
+            for nxt in skips[todo.pop()]:
+                if nxt not in node:
                     node.add(nxt)
                     todo.append(nxt)
         return frozenset(node)
@@ -287,16 +296,13 @@ def _by_id(trace: UncertainTrace) -> tuple[list[UncertainEvent], list[int]]:
     return events, preds
 
 
-def trace_lattice(trace: UncertainTrace) -> Lattice:
-    """Out-edges (event index, label or None, target) of the trace's lattice
-    of order ideals, under :data:`STATE_CAP`.
+def lattice_key(trace: UncertainTrace) -> LatticeKey:
+    """The input of the trace's :func:`trace_lattice`: (preds, steps).
 
-    Events are indexed in id order. An edge places its event with one label,
-    or skips an indeterminate event (None). Edges are listed in the behavior
-    net's transition-id order (``e:a``, ``e:tau``), so nodes are numbered
-    exactly as the net's reachable markings and the search's tie-breaks stay
-    those of the paper's construction; two events that spell the same
-    transition id stay apart by their index.
+    Steps are listed in the behavior net's transition-id order (``e:a``,
+    ``e:tau``); an indeterminate event also steps with None (its skip). Two
+    traces with equal keys have the same lattice, node for node and edge for
+    edge, whatever their case and event ids.
     """
     events, preds = _by_id(trace)
     steps = sorted(
@@ -304,7 +310,23 @@ def trace_lattice(trace: UncertainTrace) -> Lattice:
         for i, e in enumerate(events)
         for a in ((*e.activities, None) if e.indeterminate else e.activities)
     )
-    return _ideals(preds, [(i, a) for _, i, a in steps], f"trace {trace.case_id!r}")
+    return tuple(preds), tuple((i, a) for _, i, a in steps)
+
+
+def trace_lattice(trace: UncertainTrace, key: LatticeKey | None = None) -> Lattice:
+    """Out-edges (event index, label or None, target) of the trace's lattice
+    of order ideals, under :data:`STATE_CAP`; ``key`` is the trace's
+    :func:`lattice_key`, computed here when not given.
+
+    Events are indexed in id order. An edge places its event with one label,
+    or skips an indeterminate event (None). Edges are listed in the behavior
+    net's transition-id order, so nodes are numbered exactly as the net's
+    reachable markings and the search's tie-breaks stay those of the paper's
+    construction; two events that spell the same transition id stay apart by
+    their index.
+    """
+    preds, steps = lattice_key(trace) if key is None else key
+    return _ideals(preds, steps, f"trace {trace.case_id!r}")
 
 
 def order_realizations(

@@ -295,13 +295,67 @@ class TestLogBounds:
         assert result.reports[0].realization_count == 4
 
     def test_builds_each_trace_lattice_once(self, monkeypatch):
-        calls = []
-        real = align.trace_lattice
-        monkeypatch.setattr(align, "trace_lattice", lambda trace: calls.append(trace.case_id) or real(trace))
-        log = UncertainLog((running_example(), UncertainTrace("c", (certain_event("s", "Adm", 1),))))
+        built = []
+        real = events.order_ideals
+        monkeypatch.setattr(events, "order_ideals", lambda *args: built.append(args[3].split()[1]) or real(*args))
+        log = UncertainLog((
+            running_example(),
+            UncertainTrace("c", (certain_event("s", "Adm", 1),)),
+            UncertainTrace("c2", (certain_event("s2", "Adm", 1),)),  # c's shape again
+        ))
         result = log_bounds(log, event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"]))
-        assert calls == ["ID192", "c"]
-        assert [r.realization_count for r in result.reports] == [10, 1]
+        assert built == ["'ID192'", "'c'"]
+        assert [r.realization_count for r in result.reports] == [10, 1, 1]
+
+    def test_equal_shapes_are_aligned_once(self, monkeypatch):
+        def trace(case, spec):
+            return UncertainTrace(case, tuple(
+                UncertainEvent(f"{case}.{name}", frozenset(labels), lo, hi, skip)
+                for name, labels, lo, hi, skip in spec
+            ))
+
+        # "x10" sorts before "x9", so ids alone change the event indices and
+        # the step order, and here the lower witness; "p-q:" sorts before "p:";
+        # b and c differ only in labels.
+        shapes = {
+            "a": [("e1", "ab", 0, 5, False), ("e2", "c", 3, 9, True), ("e3", "a", 10, 10, False)],
+            "ordered": [("x1", "bc", 2, 4, False), ("x2", "ac", 1, 2, False)],
+            "swapped": [("x9", "bc", 2, 4, False), ("x10", "ac", 1, 2, False)],
+            "steps": [("p", "ab", 0, 4, True), ("p-q", "b", 1, 1, False)],
+            "b": [("e1", "a", 0, 0, False), ("e2", "b", 1, 1, False)],
+            "c": [("e1", "a", 0, 0, False), ("e2", "c", 1, 1, False)],
+        }
+        log = UncertainLog(tuple(
+            trace(f"{name}{copy}", spec) for copy in range(3) for name, spec in shapes.items()
+        ))
+        model = event_net(["a", "b", "c"])
+        keys = {events.lattice_key(t) for t in log}
+        assert len(keys) == len(shapes)
+        alone = [log_bounds(UncertainLog((t,)), model).reports[0] for t in log]
+        assert alone[1].lower_witness != alone[2].lower_witness
+        calls = []
+        real = align.lower_bound
+        monkeypatch.setattr(align, "lower_bound", lambda t, *args: calls.append(t.case_id) or real(t, *args))
+        result = log_bounds(log, model)
+        assert list(result.reports) == alone
+        assert calls == [f"{name}0" for name in shapes]
+        assert result.total_lower == sum(r.lower_cost for r in alone)
+        assert result.total_upper == sum(r.upper_cost for r in alone)
+
+    def test_capped_shape_repeats_name_their_own_cases(self):
+        def explosive(case):
+            return UncertainTrace(case, tuple(UncertainEvent(f"{case}{i}", frozenset({"a", "b"}), 0, 99) for i in range(8)))
+
+        model = event_net(["a"])
+        small = UncertainTrace("small", (certain_event("s", "b", 1),))
+        log = UncertainLog((explosive("big1"), small, explosive("big2")))
+        result = log_bounds(log, model, caps=EnumerationCaps(max_realizations=5))
+        first, fine, second = result.reports
+        assert "'big1'" in first.error and "'big2'" not in first.error
+        assert "'big2'" in second.error and "'big1'" not in second.error
+        assert first.lower_cost == second.lower_cost == lower_bound(explosive("big1"), model)[0]
+        assert first.upper_cost is second.upper_cost is None
+        assert (result.total_lower, result.total_upper) == (fine.lower_cost, fine.upper_cost) == (2, 2)
 
 
 class TestProductCap:
