@@ -4,7 +4,12 @@ Process models are labeled Petri nets; event logs may carry uncertain
 activity labels, timestamp intervals, and indeterminate events. The package
 computes exact lower and upper bounds on alignment cost per trace, ships a
 seedable synthetic-data pipeline, and exposes a CLI (``uncertain-conform``).
+
+The names from ``behavior`` and ``synthesis`` resolve on first access
+(PEP 562), so importing the package, or ``uncertain_conform.cli`` for the
+``bounds`` command, loads neither module.
 """
+import importlib
 
 from .align import (
     Alignment,
@@ -19,12 +24,6 @@ from .align import (
     optimal_alignment,
     prepare_model,
     upper_bound,
-)
-from .behavior import (
-    BehaviorGraph,
-    behavior_graph,
-    behavior_net,
-    topological_sortings,
 )
 from .errors import CapExceeded, ValidationError
 from .events import (
@@ -55,16 +54,30 @@ from .petri import (
     fire,
     language,
 )
-from .synthesis import (
-    DeviationConfig,
-    TimedEvent,
-    TimedTrace,
-    UncertaintyConfig,
-    deviate,
-    playout,
-    random_block_net,
-    uncertainize,
-)
+
+#: Names resolved on first access, each to the module that defines it.
+_LAZY = {
+    **dict.fromkeys(("BehaviorGraph", "behavior_graph", "behavior_net", "topological_sortings"), "behavior"),
+    **dict.fromkeys(
+        ("DeviationConfig", "TimedEvent", "TimedTrace", "UncertaintyConfig", "deviate", "playout", "random_block_net",
+         "uncertainize"),
+        "synthesis",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Alignment",

@@ -2,7 +2,8 @@
 
 Subcommands: bounds, gen, exp-divergence, exp-performance, exp-realizations.
 All output is CSV (stdout or --out). Exit codes: 0 success, 1 input error,
-2 enumeration/resource cap.
+2 enumeration/resource cap. Only ``bounds`` runs at start-up: ``gen`` and the
+experiments import ``synthesis`` and ``experiments`` when they run.
 """
 from __future__ import annotations
 
@@ -16,20 +17,16 @@ from pathlib import Path
 from .align import STANDARD_COST, log_bounds
 from .errors import CapExceeded, ValidationError
 from .events import EnumerationCaps
-from .experiments import (
-    DEVIATION_PRESETS,
-    UNCERTAINTY_KINDS,
-    ExperimentSpec,
-    run_divergence,
-    run_performance,
-    run_realizations,
-)
 from .log_io import load_log, load_net, save_log, save_net
-from .synthesis import DeviationConfig, UncertaintyConfig, deviate, playout, random_block_net, uncertainize
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAP = 2
+
+#: ``sorted(experiments.DEVIATION_PRESETS)`` and ``experiments.UNCERTAINTY_KINDS``,
+#: spelled out so that building the parser does not import the experiments.
+DEVIATION_NAMES = ["activity", "all", "extra", "none", "swaps"]
+UNCERTAINTY_NAMES = ["activities", "timestamps", "indeterminate", "all"]
 
 
 def _write_csv(rows: list[dict], fieldnames: list[str], out: str | None) -> None:
@@ -99,6 +96,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .synthesis import DeviationConfig, UncertaintyConfig, deviate, playout, random_block_net, uncertainize
+
     d_a, d_s, d_d = _parse_fractions(args.deviation, 3, "--deviation")
     u_a, u_t, u_i = _parse_fractions(args.uncertainty, 3, "--uncertainty")
     model = random_block_net(args.net_size, args.seed)
@@ -112,6 +111,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_exp_divergence(args) -> int:
+    from .experiments import ExperimentSpec, run_divergence
+
     spec = ExperimentSpec(
         net_sizes=(args.net_size,),
         n_traces=args.traces,
@@ -127,6 +128,8 @@ def cmd_exp_divergence(args) -> int:
 
 
 def cmd_exp_performance(args) -> int:
+    from .experiments import ExperimentSpec, run_performance
+
     spec = ExperimentSpec(
         net_sizes=_parse_int_list(args.sizes, "--sizes"),
         n_traces=args.traces,
@@ -143,6 +146,8 @@ def cmd_exp_performance(args) -> int:
 
 
 def cmd_exp_realizations(args) -> int:
+    from .experiments import ExperimentSpec, run_realizations
+
     spec = ExperimentSpec(
         net_sizes=_parse_int_list(args.sizes, "--sizes"),
         n_traces=args.traces,
@@ -186,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("--reps", type=int, default=3)
     p_div.add_argument("--ps", default="0,0.04,0.08,0.12,0.16")
     p_div.add_argument(
-        "--deviation-config", action="append", choices=sorted(DEVIATION_PRESETS),
+        "--deviation-config", action="append", choices=DEVIATION_NAMES,
         help="repeatable; default: extra",
     )
     p_div.add_argument(
-        "--uncertainty-config", action="append", choices=list(UNCERTAINTY_KINDS),
+        "--uncertainty-config", action="append", choices=UNCERTAINTY_NAMES,
         help="repeatable; default: indeterminate",
     )
     p_div.add_argument("--seed", default="0")
@@ -202,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--traces", type=int, default=50)
     p_perf.add_argument("--reps", type=int, default=3)
     p_perf.add_argument("--p", type=float, default=0.05)
-    p_perf.add_argument("--uncertainty-config", choices=list(UNCERTAINTY_KINDS), default="all")
+    p_perf.add_argument("--uncertainty-config", choices=UNCERTAINTY_NAMES, default="all")
     p_perf.add_argument("--seed", default="0")
     p_perf.add_argument("--out")
     p_perf.set_defaults(func=cmd_exp_performance)
@@ -213,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_real.add_argument("--traces", type=int, default=50)
     p_real.add_argument("--reps", type=int, default=3)
     p_real.add_argument("--ps", default="0,0.04,0.08,0.12,0.16")
-    p_real.add_argument("--uncertainty-config", choices=list(UNCERTAINTY_KINDS), default="all")
+    p_real.add_argument("--uncertainty-config", choices=UNCERTAINTY_NAMES, default="all")
     p_real.add_argument("--seed", default="0")
     p_real.add_argument("--out")
     p_real.set_defaults(func=cmd_exp_realizations)

@@ -5,22 +5,25 @@ fractions survive round-trips. The XES mapping keeps uncertainty in dedicated
 meta-attributes and always writes fallback values (``concept:name`` is the
 lexicographically least candidate activity, ``time:timestamp`` the interval
 start) so uncertainty-unaware consumers still see a plain certain log.
+``xml.etree`` is imported by the XES functions alone, so reading a JSON log
+never loads it.
 """
 from __future__ import annotations
 
-import calendar
 import io
 import json
 import re
 import warnings
-import xml.etree.ElementTree as ET
-from datetime import datetime, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import ValidationError
 from .events import UncertainEvent, UncertainLog, UncertainTrace
 from .petri import Marking, PetriNet, SystemNet
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 SCHEMA_VERSION = "1.0"
 
@@ -42,31 +45,50 @@ _KNOWN_EVENT_KEYS = {
     XES_KEY_EVENT_ID,
 }
 
+_JSON_EVENT_KEYS = frozenset({"id", "activities", "t_min", "t_max", "indeterminate"})
+
 _NS_PER_SECOND = 10**9
+_EPOCH = datetime(1970, 1, 1)
 
 _TIMESTAMP_RE = re.compile(
-    r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,9}))?(?:Z|\+00:00)"
+    r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,9}))?(?:Z|\+00:00)", re.ASCII
 )
+
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 Source = Union[str, Path, bytes, io.IOBase]
 
 
 def parse_timestamp(text: str) -> int:
-    """UTC ISO-8601 ("Z" or "+00:00") to integer nanoseconds since the epoch."""
+    """UTC ISO-8601 ("Z" or "+00:00") to integer nanoseconds since the epoch.
+
+    Years run from 1 to 9999 (proleptic Gregorian), seconds from 0 to 59; a
+    field out of range is rejected like a malformed stamp.
+    """
     m = _TIMESTAMP_RE.fullmatch(text.strip())
     if m is None:
         raise ValidationError(f"not a UTC ISO-8601 timestamp: {text!r}")
-    year, month, day, hour, minute, second = (int(m.group(i)) for i in range(1, 7))
-    seconds = calendar.timegm((year, month, day, hour, minute, second, 0, 0, 0))
-    fraction = m.group(7) or ""
+    *fields, fraction = m.groups()
+    year, month, day, hour, minute, second = map(int, fields)
+    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    if not (
+        year and 1 <= month <= 12 and 1 <= day <= _MONTH_DAYS[month - 1] + leap
+        and hour < 24 and minute < 60 and second < 60
+    ):
+        raise ValidationError(f"not a UTC ISO-8601 timestamp: {text!r}")
+    # Days from 1970-01-01 (H. Hinnant's days_from_civil), with March as month 0.
+    year -= month <= 2
+    era, year_of_era = divmod(year, 400)
+    day_of_year = (153 * (month + 9 if month <= 2 else month - 3) + 2) // 5 + day - 1
+    days = era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year - 719468
     nanos = int(fraction.ljust(9, "0")) if fraction else 0
-    return seconds * _NS_PER_SECOND + nanos
+    return (days * 86400 + hour * 3600 + minute * 60 + second) * _NS_PER_SECOND + nanos
 
 
 def format_timestamp(ns: int) -> str:
     """Integer nanoseconds to canonical UTC ISO-8601 (fraction only if nonzero)."""
     seconds, nanos = divmod(ns, _NS_PER_SECOND)
-    stamp = datetime.fromtimestamp(seconds, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")
+    stamp = (_EPOCH + timedelta(seconds=seconds)).isoformat()
     if nanos:
         stamp += f".{nanos:09d}".rstrip("0")
     return stamp + "Z"
@@ -124,26 +146,24 @@ def _event_from_dict(raw, context: str, position: int) -> UncertainEvent:
     try:
         event_id = raw["id"]
         activities = raw["activities"]
-        stamps = {key: raw[key] for key in ("t_min", "t_max")}
+        min_text = raw["t_min"]
+        max_text = raw["t_max"]
     except KeyError as exc:
         raise ValidationError(f"{context}: event is missing field {exc.args[0]!r}") from exc
     _expect(event_id, str, f"{context}: event {position}: 'id'")
-    where = f"{context}: event {event_id!r}"
     if not isinstance(activities, list) or not activities:
-        raise ValidationError(f"{where} needs a nonempty activity list")
+        raise ValidationError(f"{context}: event {event_id!r} needs a nonempty activity list")
     try:
-        labels = frozenset(_expect(a, str, f"activity {i}") for i, a in enumerate(activities))
-        t_min, t_max = (parse_timestamp(_expect(stamp, str, repr(key))) for key, stamp in stamps.items())
+        for i, label in enumerate(activities):
+            if not isinstance(label, str):
+                _expect(label, str, f"activity {i}")
+        t_min = parse_timestamp(_expect(min_text, str, "'t_min'"))
+        # A point interval (every certain event) is parsed once.
+        t_max = t_min if max_text == min_text else parse_timestamp(_expect(max_text, str, "'t_max'"))
         indeterminate = _expect(raw.get("indeterminate", False), bool, "'indeterminate'")
     except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    return UncertainEvent(
-        id=event_id,
-        activities=labels,
-        t_min=t_min,
-        t_max=t_max,
-        indeterminate=indeterminate,
-    )
+        raise ValidationError(f"{context}: event {event_id!r}: {exc}") from exc
+    return UncertainEvent(event_id, frozenset(activities), t_min, t_max, indeterminate)
 
 
 def log_from_dict(doc: dict) -> UncertainLog:
@@ -155,14 +175,10 @@ def log_from_dict(doc: dict) -> UncertainLog:
         raw_trace = _expect(raw_trace, dict, f"trace {i}")
         case_id = _expect(raw_trace.get("case_id", f"case{i}"), str, f"trace {i}: 'case_id'")
         context = f"trace {case_id!r}"
-        raw_events = _expect(raw_trace.get("events", []), list, f"{context}: 'events'")
-        events = [_event_from_dict(raw, context, j) for j, raw in enumerate(raw_events)]
-        unknown += sum(
-            1
-            for raw in raw_events
-            for key in raw
-            if key not in {"id", "activities", "t_min", "t_max", "indeterminate"}
-        )
+        events = []
+        for j, raw in enumerate(_expect(raw_trace.get("events", []), list, f"{context}: 'events'")):
+            events.append(_event_from_dict(raw, context, j))
+            unknown += len(raw.keys() - _JSON_EVENT_KEYS)
         traces.append(UncertainTrace(case_id, tuple(events)))
     if unknown:
         warnings.warn(f"dropped {unknown} unrecognized event attribute(s) while loading", stacklevel=2)
@@ -173,11 +189,13 @@ def log_from_dict(doc: dict) -> UncertainLog:
 # Uncertain log: XES
 
 
-def _xes_attr(parent: ET.Element, tag: str, key: str, value: str) -> ET.Element:
-    return ET.SubElement(parent, tag, {"key": key, "value": value})
+def _xes_attr(parent: ET.Element, tag: str, key: str, value: str) -> None:
+    parent.append(parent.makeelement(tag, {"key": key, "value": value}))
 
 
 def _log_to_xes(log: UncertainLog) -> bytes:
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("log", {"xes.version": "1849-2016", "xes.features": "nested-attributes"})
     ET.SubElement(root, "extension", {"name": "Concept", "prefix": "concept", "uri": "http://www.xes-standard.org/concept.xesext"})
     ET.SubElement(root, "extension", {"name": "Time", "prefix": "time", "uri": "http://www.xes-standard.org/time.xesext"})
@@ -232,18 +250,24 @@ def _xes_event(event_el: ET.Element, context: str, fallback_id: str) -> tuple[Un
     if XES_KEY_TIME_MIN in attrs or XES_KEY_TIME_MAX in attrs:
         if XES_KEY_TIME_MIN not in attrs or XES_KEY_TIME_MAX not in attrs:
             raise ValidationError(f"{context}: event {event_id!r} needs both interval endpoints")
-        t_min = parse_timestamp(attrs[XES_KEY_TIME_MIN])
-        t_max = parse_timestamp(attrs[XES_KEY_TIME_MAX])
+        min_text, max_text = attrs[XES_KEY_TIME_MIN], attrs[XES_KEY_TIME_MAX]
     elif "time:timestamp" in attrs:
-        t_min = t_max = parse_timestamp(attrs["time:timestamp"])
+        min_text = max_text = attrs["time:timestamp"]
     else:
         raise ValidationError(f"{context}: event {event_id!r} has no timestamp information")
+    try:
+        t_min = parse_timestamp(min_text)
+        t_max = t_min if max_text == min_text else parse_timestamp(max_text)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: event {event_id!r}: {exc}") from exc
 
     indeterminate = attrs.get(XES_KEY_INDETERMINACY, "false").lower() == "true"
     return UncertainEvent(event_id, activities, t_min, t_max, indeterminate), unknown
 
 
 def _log_from_xes(data: bytes) -> UncertainLog:
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:

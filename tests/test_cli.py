@@ -1,13 +1,19 @@
 """CLI contract: subcommands, CSV schemas, exit codes, determinism."""
+import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from helpers import DATA_DIR
 
-from uncertain_conform import align, events
-from uncertain_conform.cli import main
+import uncertain_conform
+from uncertain_conform import UncertainEvent, UncertainLog, UncertainTrace, align, events, save_log
+from uncertain_conform.cli import build_parser, main
 from uncertain_conform.events import CAP_ENV_VAR
 
 
@@ -92,6 +98,18 @@ class TestBounds:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("fmt", ["json", "xes"])
+    @pytest.mark.parametrize("stamp", ["2020-13-01T00:00:00Z", "0000-01-01T00:00:00Z", "2020-02-30T25:61:61Z"])
+    def test_out_of_range_timestamp_exits_1(self, tmp_path, capsys, fmt, stamp):
+        trace = UncertainTrace("c", (UncertainEvent("e1", frozenset({"Adm"}), 0, 0),))
+        data = save_log(UncertainLog((trace,)), fmt).replace(b"1970-01-01T00:00:00Z", stamp.encode())
+        bad = tmp_path / f"bad.{fmt}"
+        bad.write_bytes(data)
+        code = main(["bounds", "--log", str(bad), "--net", str(DATA_DIR / "icu_net.json"), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: trace 'c': event 'e1': not a UTC ISO-8601 timestamp: {stamp!r}\n"
 
     def test_wrong_typed_net_field_exits_1(self, tmp_path, capsys):
         net = json.loads((DATA_DIR / "icu_net.json").read_text())
@@ -297,3 +315,42 @@ class TestExperimentCommands:
         ])
         assert code == 0
         assert out.read_text().startswith("x,mean_realizations")
+
+
+def option_choices(command: str, flag: str) -> list[str]:
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return next(a.choices for a in commands[command]._actions if flag in a.option_strings)
+
+
+class TestImportSurface:
+    LAZY_MODULES = [
+        "uncertain_conform.synthesis",
+        "uncertain_conform.experiments",
+        "uncertain_conform.behavior",
+        "xml.etree.ElementTree",
+        "calendar",
+        "statistics",
+    ]
+
+    def test_cli_imports_only_the_bounds_path(self):
+        script = (
+            "import json, sys\n"
+            "import uncertain_conform.cli\n"
+            f"loaded = [m for m in {self.LAZY_MODULES!r} if m in sys.modules]\n"
+            "names = {}\n"
+            "exec('from uncertain_conform import *', names)\n"
+            "missing = sorted(set(uncertain_conform.__all__) - set(names))\n"
+            "print(json.dumps([loaded, missing]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(uncertain_conform.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env).stdout
+        assert json.loads(out) == [[], []]
+
+    def test_experiment_choices_match_the_experiments(self):
+        from uncertain_conform import experiments
+
+        deviations = sorted(experiments.DEVIATION_PRESETS)
+        kinds = list(experiments.UNCERTAINTY_KINDS)
+        assert option_choices("exp-divergence", "--deviation-config") == deviations
+        for command in ("exp-divergence", "exp-performance", "exp-realizations"):
+            assert option_choices(command, "--uncertainty-config") == kinds

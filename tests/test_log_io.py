@@ -1,10 +1,12 @@
 """Serialization: timestamps, JSON/XES logs, JSON nets."""
 import json
 import re
+from datetime import datetime, timedelta
 
 import pytest
 from helpers import DATA_DIR, naive_xes_activity_sequences, uncertain_traces
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_events import running_example
 
@@ -46,10 +48,44 @@ class TestTimestamps:
     def test_offset_zero_accepted(self):
         assert parse_timestamp("2020-01-01T00:00:00+00:00") == parse_timestamp("2020-01-01T00:00:00Z")
 
-    @pytest.mark.parametrize("bad", ["2020-01-01", "yesterday", "2020-01-01T00:00:00+02:00", ""])
+    @pytest.mark.parametrize("bad", [
+        "2020-01-01", "yesterday", "2020-01-01T00:00:00+02:00", "",
+        # Fields out of range: year 0, month 13 or 0, day past the month's end or 0,
+        # hour 24, minute 60, second 60; 2021 and 1900 are not leap years.
+        "0000-01-01T00:00:00Z", "2020-13-01T00:00:00Z", "2020-00-10T00:00:00Z", "2020-01-32T00:00:00Z",
+        "2020-01-00T00:00:00Z", "2020-04-31T00:00:00Z", "2021-02-29T00:00:00Z", "1900-02-29T00:00:00Z",
+        "2020-02-30T25:61:61Z", "2020-01-01T24:00:00Z", "2020-01-01T00:60:00Z", "2020-01-01T00:00:60Z",
+        "\u0662\u0660\u0662\u0660-01-01T00:00:00Z",  # digits, but not ASCII ones
+    ])
     def test_malformed_rejected(self, bad):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not a UTC ISO-8601 timestamp"):
             parse_timestamp(bad)
+
+    @given(
+        st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+        st.text("0123456789", max_size=9),
+        st.sampled_from(["Z", "+00:00"]),
+    )
+    @example(datetime(2000, 2, 29, 23, 59, 59), "999999999", "Z")
+    @example(datetime(4, 2, 29), "", "+00:00")
+    @example(datetime(1969, 12, 31, 23, 59, 59), "5", "Z")
+    @example(datetime(1, 1, 1), "000000001", "Z")
+    @example(datetime(9999, 12, 31, 23, 59, 59), "999999999", "+00:00")
+    @settings(max_examples=300, deadline=None)
+    def test_valid_stamps_match_datetime(self, moment, fraction, suffix):
+        moment = moment.replace(microsecond=0)
+        text = moment.isoformat() + (f".{fraction}" if fraction else "") + suffix
+        seconds = (moment - datetime(1970, 1, 1)) // timedelta(seconds=1)
+        ns = seconds * 10**9 + int(fraction.ljust(9, "0"))
+        assert parse_timestamp(text) == ns
+        trimmed = fraction.rstrip("0")
+        canonical = (
+            f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}"
+            f"T{moment.hour:02d}:{moment.minute:02d}:{moment.second:02d}"
+            + (f".{trimmed}" if trimmed else "") + "Z"
+        )
+        assert format_timestamp(ns) == canonical
+        assert parse_timestamp(canonical) == ns
 
 
 class TestJsonLog:
@@ -139,6 +175,12 @@ class TestJsonLog:
     def test_malformed_timestamp_names_event(self):
         with pytest.raises(ValidationError, match="trace 'c': event 'e1': not a UTC"):
             load_log(self.one_event(t_max="yesterday"), "json")
+
+    @pytest.mark.parametrize("field", ["t_min", "t_max"])
+    def test_out_of_range_timestamp_names_event(self, field):
+        stamps = {"t_min": "2020-01-31T00:00:00Z", "t_max": "2020-02-01T00:00:00Z", field: "2020-01-32T00:00:00Z"}
+        with pytest.raises(ValidationError, match="trace 'c': event 'e1': not a UTC ISO-8601 timestamp: '2020-01-32"):
+            load_log(self.one_event(**stamps), "json")
 
     def test_non_object_event_rejected(self):
         doc = {"traces": [{"case_id": "c", "events": [5]}]}
@@ -233,6 +275,17 @@ class TestXesLog:
     def test_malformed_xml(self):
         with pytest.raises(ValidationError, match="malformed"):
             load_log(b"<log><trace>", "xes")
+
+    # A point event carries only time:timestamp; the interval bounds take over from it otherwise.
+    @pytest.mark.parametrize("key, t_max", [("time:timestamp", 0), (XES_KEY_TIME_MIN, 60 * 10**9)])
+    def test_out_of_range_timestamp_names_event(self, key, t_max):
+        trace = UncertainTrace("c", (UncertainEvent("e1", frozenset({"a"}), 0, t_max),))
+        data = save_log(UncertainLog((trace,)), "xes").decode()
+        attribute = f'key="{key}" value="1970-01-01T00:00:00Z"'
+        assert data.count(attribute) == 1
+        data = data.replace(attribute, f'key="{key}" value="2020-02-30T00:00:00Z"')
+        with pytest.raises(ValidationError, match="trace 'c': event 'e1': not a UTC ISO-8601 timestamp"):
+            load_log(data.encode(), "xes")
 
     @given(uncertain_traces(max_events=5))
     @settings(max_examples=50, deadline=None)
