@@ -491,9 +491,11 @@ def _trace_side(lattice: Lattice) -> list[list[tuple[int, str | None, int]]]:
 
 
 def lower_bound(
-    trace: UncertainTrace, model: SystemNet, cost: CostFunction = STANDARD_COST, lattice: Lattice | None = None
-) -> tuple[int, Alignment]:
-    """Best-case conformance cost over all realizations, with a witness.
+    trace: UncertainTrace, model: SystemNet, cost: CostFunction = STANDARD_COST, lattice: Lattice | None = None,
+    witness: bool = True,
+) -> tuple[int, Alignment | None]:
+    """Best-case conformance cost over all realizations, with a witness
+    (None when ``witness`` is false).
 
     One search over the product of the trace's lattice of order ideals and
     the model; the witness's log projection is the realization achieving the
@@ -503,6 +505,8 @@ def lower_bound(
     moves = _model_structures(model, cost)
     in_edges = _trace_side(trace_lattice(trace) if lattice is None else lattice)
     pre, post = _forward(range(len(in_edges)), in_edges, moves, cost)
+    if not witness:
+        return int(post[-1, moves.rg.final]), None
     alignment = _witness(in_edges, len(in_edges) - 1, pre, post, moves, cost)
     return alignment.cost, alignment
 
@@ -522,55 +526,62 @@ def lower_bound_bruteforce(
     return int(min(costs))  # traces are nonempty, so at least one realization exists
 
 
-def _costliest_realization(dag: WordDag, moves: _ModelMoves, cost: CostFunction) -> Alignment:
-    """The witness of the first costliest realization in lexicographic order:
-    one walk over ``dag``, the trace's determinized lattice.
+def _costliest_realization(
+    dag: WordDag, moves: _ModelMoves, cost: CostFunction, witness: bool = True
+) -> tuple[int, Alignment | None]:
+    """The cost of the first costliest realization in lexicographic order and
+    its witness (None when ``witness`` is false): one walk over ``dag``, the
+    trace's determinized lattice.
 
     Each prefix carries its closed DP row, one :func:`_transfer` and relax
     from its parent's. Prefixes are taken in lexicographic order, and one
     whose row a row kept earlier at the same walk node bounds from above is
     dropped: the walk node fixes the completions, so each completion costs
     at least as much after the earlier prefix and comes first in that order.
-    The winner's ``pre`` rows are rebuilt from its kept rows for the witness.
-    Kept rows times model states are capped by :data:`PRODUCT_CAP`.
+    A prefix at a walk node without children has no completions to prune, so
+    its row is kept only while it is the maximum. The winner's ``pre`` rows
+    are rebuilt from its prefix chain for the witness. Kept rows times model
+    states are capped by :data:`PRODUCT_CAP`.
     """
     rg = moves.rg
     log_cost = float(cost.log_move)
-    rows, parents, symbols = [moves.initial_row], [0], [None]  # per kept prefix
+    root = (moves.initial_row, None, None)  # per kept prefix: (row, last symbol, parent prefix)
     kept: list[list[np.ndarray]] = [[] for _ in dag.children]
     kept[0].append(moves.initial_row)
-    best, winner = (moves.initial_row[rg.final], 0) if dag.accepting[0] else (-np.inf, None)
-    stack = [(0, symbol, child) for symbol, child in reversed(dag.children[0])]
+    kept_rows = 1
+    best, winner = (moves.initial_row[rg.final], root) if dag.accepting[0] else (-np.inf, None)
+    stack = [(root, symbol, child) for symbol, child in reversed(dag.children[0])]
     while stack:
         parent, symbol, w = stack.pop()
         row = np.full(rg.n, np.inf)
-        moves.relax(row, _transfer(row, rows[parent], symbol, moves, log_cost))
-        if any((other >= row).all() for other in kept[w]):
-            continue
-        if (len(rows) + 1) * rg.n > PRODUCT_CAP:
-            raise CapExceeded(
-                f"upper-bound walk keeps {len(rows) + 1} rows x {rg.n} model states, over the product cap ({PRODUCT_CAP})"
-            )
-        kept[w].append(row)
-        entry = len(rows)
-        rows.append(row)
-        parents.append(parent)
-        symbols.append(symbol)
+        moves.relax(row, _transfer(row, parent[0], symbol, moves, log_cost))
+        prefix = (row, symbol, parent)
+        if dag.children[w]:
+            if any((other >= row).all() for other in kept[w]):
+                continue
+            kept_rows += 1
+            if kept_rows * rg.n > PRODUCT_CAP:
+                raise CapExceeded(
+                    f"upper-bound walk keeps {kept_rows} rows x {rg.n} model states, over the product cap ({PRODUCT_CAP})"
+                )
+            kept[w].append(row)
+            stack.extend((prefix, label, child) for label, child in reversed(dag.children[w]))
         if dag.accepting[w] and row[rg.final] > best:
-            best, winner = row[rg.final], entry
-        stack.extend((entry, label, child) for label, child in reversed(dag.children[w]))
-    path = []
-    while winner:
-        path.append(winner)
-        winner = parents[winner]
-    path.reverse()
-    word = [symbols[k] for k in path]
-    post = np.array([rows[0]] + [rows[k] for k in path])
+            best, winner = row[rg.final], prefix
+    if not witness:
+        return int(best), None
+    word, chain = [], []
+    while winner[2] is not None:
+        row, symbol, winner = winner
+        word.append(symbol)
+        chain.append(row)
+    word.reverse()
+    post = np.array([moves.initial_row, *reversed(chain)])
     pre = np.full_like(post, np.inf)
     pre[0, rg.initial] = 0.0
     for i, label in enumerate(word, 1):
         _transfer(pre[i], post[i - 1], label, moves, log_cost)
-    return _witness(_chain(word), len(word), pre, post, moves, cost)
+    return int(best), _witness(_chain(word), len(word), pre, post, moves, cost)
 
 
 def upper_bound(
@@ -587,9 +598,7 @@ def upper_bound(
     witness aligns the first realization attaining the maximum in
     lexicographic order of activity sequences.
     """
-    dag = realization_dag(trace, caps)
-    alignment = _costliest_realization(dag, _model_structures(model, cost), cost)
-    return alignment.cost, alignment
+    return _costliest_realization(realization_dag(trace, caps), _model_structures(model, cost), cost)
 
 
 @dataclass(frozen=True)
@@ -637,6 +646,7 @@ def log_bounds(
     model: SystemNet,
     cost: CostFunction = STANDARD_COST,
     caps: EnumerationCaps | None = None,
+    witnesses: bool = True,
 ) -> LogBounds:
     """Bounds for each trace; per-trace cap errors are recorded, not fatal.
 
@@ -646,7 +656,8 @@ def log_bounds(
     upper bound and witness are the lower ones. When only the upper side
     caps, the lower bound is still reported. Both totals sum the same
     traces: those whose upper bound was computed. A capped row counts in
-    neither.
+    neither. With ``witnesses`` false, no witness is built and every report
+    carries None for both; the costs and counts are the same.
 
     Traces of equal shape are aligned once per call. The bounds, both
     witnesses and the count read only the model and the trace's lattice,
@@ -656,7 +667,7 @@ def log_bounds(
     trace is searched again and its error names its own case.
     """
     moves = _model_structures(model, cost)
-    shapes: dict[LatticeKey, tuple[int, Alignment, int, Alignment]] = {}
+    shapes: dict[LatticeKey, tuple[int, int, Alignment | None, Alignment | None, int]] = {}
     reports: list[BoundsReport] = []
     total_lower = 0
     total_upper = 0
@@ -667,18 +678,19 @@ def log_bounds(
             low_witness: Alignment | None = None
             try:
                 lattice = trace_lattice(trace, key)
-                low, low_witness = lower_bound(trace, model, cost, lattice)
+                low, low_witness = lower_bound(trace, model, cost, lattice, witnesses)
                 if all(len(edges) <= 1 for edges in lattice):
-                    count, up_witness = 1, low_witness
+                    count, up, up_witness = 1, low, low_witness
                 else:
                     dag = realization_dag(trace, caps, lattice)
-                    count, up_witness = dag.count, _costliest_realization(dag, moves, cost)
+                    count = dag.count
+                    up, up_witness = _costliest_realization(dag, moves, cost, witnesses)
             except CapExceeded as exc:
                 reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
                 continue
-            shapes[key] = low, low_witness, count, up_witness
-        low, low_witness, count, up_witness = shapes[key]
-        reports.append(BoundsReport(trace.case_id, low, up_witness.cost, low_witness, up_witness, count))
+            shapes[key] = low, up, low_witness, up_witness, count
+        low, up, low_witness, up_witness, count = shapes[key]
+        reports.append(BoundsReport(trace.case_id, low, up, low_witness, up_witness, count))
         total_lower += low
-        total_upper += up_witness.cost
+        total_upper += up
     return LogBounds(tuple(reports), total_lower, total_upper)

@@ -73,7 +73,7 @@ def cmd_bounds(args) -> int:
     caps = EnumerationCaps.from_env()
     log = load_log(args.log, format=args.format)
     model = load_net(args.net)
-    result = log_bounds(log, model, STANDARD_COST, caps)
+    result = log_bounds(log, model, STANDARD_COST, caps, witnesses=args.json)
     exit_code = EXIT_CAP if any(r.error is not None for r in result.reports) else EXIT_OK
     if args.json:
         doc = {

@@ -90,7 +90,7 @@ def run_divergence(spec: ExperimentSpec) -> list[dict]:
                 for rep in range(spec.repetitions):
                     model, universe, log, cell_seed = _base_log(spec, spec.net_sizes[0], deviation_name, rep)
                     uncertain = uncertainize(log, uncertainty_config(uncertainty_name, p), universe, cell_seed)
-                    result = log_bounds(uncertain, model, STANDARD_COST)
+                    result = log_bounds(uncertain, model, STANDARD_COST, witnesses=False)
                     done = [r for r in result.reports if r.error is None]
                     if not done:
                         raise CapExceeded(

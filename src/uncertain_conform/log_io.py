@@ -94,6 +94,14 @@ def format_timestamp(ns: int) -> str:
     return stamp + "Z"
 
 
+def _stamps(trace: UncertainTrace, e: UncertainEvent) -> dict[str, str]:
+    """The event's ``t_min`` and ``t_max`` as written; a time outside years 1-9999 is an input error."""
+    try:
+        return {"t_min": format_timestamp(e.t_min), "t_max": format_timestamp(e.t_max)}
+    except OverflowError as exc:
+        raise ValidationError(f"trace {trace.case_id!r}: event {e.id!r}: a time outside years 1-9999") from exc
+
+
 def _read_bytes(source: Source) -> bytes:
     if isinstance(source, bytes):
         return source
@@ -117,8 +125,7 @@ def log_to_dict(log: UncertainLog) -> dict:
                     {
                         "id": e.id,
                         "activities": sorted(e.activities),
-                        "t_min": format_timestamp(e.t_min),
-                        "t_max": format_timestamp(e.t_max),
+                        **_stamps(trace, e),
                         "indeterminate": e.indeterminate,
                     }
                     for e in trace.events
@@ -203,9 +210,10 @@ def _log_to_xes(log: UncertainLog) -> bytes:
         trace_el = ET.SubElement(root, "trace")
         _xes_attr(trace_el, "string", "concept:name", trace.case_id)
         for e in trace.events:
+            stamps = _stamps(trace, e)
             event_el = ET.SubElement(trace_el, "event")
             _xes_attr(event_el, "string", "concept:name", min(e.activities))
-            _xes_attr(event_el, "date", "time:timestamp", format_timestamp(e.t_min))
+            _xes_attr(event_el, "date", "time:timestamp", stamps["t_min"])
             _xes_attr(event_el, "string", XES_KEY_EVENT_ID, e.id)
             if len(e.activities) > 1:
                 list_el = ET.SubElement(event_el, "list", {"key": XES_KEY_ACTIVITY_SET})
@@ -213,8 +221,8 @@ def _log_to_xes(log: UncertainLog) -> bytes:
                 for label in sorted(e.activities):
                     _xes_attr(values_el, "string", "activity", label)
             if e.t_min != e.t_max:
-                _xes_attr(event_el, "date", XES_KEY_TIME_MIN, format_timestamp(e.t_min))
-                _xes_attr(event_el, "date", XES_KEY_TIME_MAX, format_timestamp(e.t_max))
+                _xes_attr(event_el, "date", XES_KEY_TIME_MIN, stamps["t_min"])
+                _xes_attr(event_el, "date", XES_KEY_TIME_MAX, stamps["t_max"])
             if e.indeterminate:
                 _xes_attr(event_el, "boolean", XES_KEY_INDETERMINACY, "true")
     tree = ET.ElementTree(root)

@@ -1,4 +1,5 @@
 """Alignments and conformance bounds."""
+import dataclasses
 import random
 import tracemalloc
 from pathlib import Path
@@ -680,11 +681,32 @@ class TestUpperBoundWalk:
     def test_kept_rows_are_capped(self, monkeypatch):
         trace = UncertainTrace("w", tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 9) for i in range(3)))
         model = event_net(["a", "b"])  # 3 states
-        monkeypatch.setattr(align, "PRODUCT_CAP", 21)  # the walk keeps 7 rows
+        # The walk keeps 5 rows: rows at the childless walk node of full words are not kept.
+        monkeypatch.setattr(align, "PRODUCT_CAP", 15)
         assert upper_bound(trace, model)[0] == 3
-        monkeypatch.setattr(align, "PRODUCT_CAP", 20)
-        with pytest.raises(CapExceeded, match=r"upper-bound walk keeps 7 rows x 3 model states.*product cap \(20\)"):
+        monkeypatch.setattr(align, "PRODUCT_CAP", 14)
+        with pytest.raises(CapExceeded, match=r"upper-bound walk keeps 5 rows x 3 model states.*product cap \(14\)"):
             upper_bound(trace, model)
+
+
+class TestWitnessesOnRequest:
+    @given(
+        models_and_traces(max_events=6, max_transitions=8),
+        st.sampled_from([(1, 1), (2, 1), (1, 3)]),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_costs_without_witnesses_are_the_costs_with_them(self, model_and_trace, costs, max_realizations):
+        model, trace = model_and_trace
+        again = UncertainTrace("again", tuple(dataclasses.replace(e, id=f"again.{e.id}") for e in trace.events))
+        log = UncertainLog((trace, again, UncertainTrace("certain", (certain_event("c", "a", 0),))))
+        cost, caps = CostFunction(*costs), EnumerationCaps(max_realizations)
+        full = log_bounds(log, model, cost, caps)
+        bare = log_bounds(log, model, cost, caps, witnesses=False)
+        assert bare.reports == tuple(
+            dataclasses.replace(r, lower_witness=None, upper_witness=None) for r in full.reports
+        )
+        assert (bare.total_lower, bare.total_upper) == (full.total_lower, full.total_upper)
 
 
 class TestBenchmarkHooks:

@@ -236,6 +236,49 @@ class TestBounds:
         assert "reachability exploration exceeded the state cap (50)" in captured.err
 
 
+class TestWitnessesOnlyForJson:
+    """``bounds`` builds witnesses for ``--json`` alone; the costs are the same either way."""
+
+    @pytest.fixture(scope="class")
+    def gen_inputs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("gen")
+        log_path, net_path = out / "log.json", out / "net.json"
+        assert main([
+            "gen", "--net-size", "12", "--traces", "40", "--deviation", "0.1,0.1,0.1",
+            "--uncertainty", "0.2,0.2,0.2", "--seed", "w1", "--out-log", str(log_path), "--out-net", str(net_path),
+        ]) == 0
+        return log_path, net_path
+
+    @pytest.mark.parametrize("cap", [None, "1,20"])
+    @pytest.mark.parametrize("inputs", ["icu", "gen"])
+    def test_csv_is_the_json_costs(self, inputs, cap, gen_inputs, capsys, monkeypatch):
+        if cap is not None:
+            monkeypatch.setenv(CAP_ENV_VAR, cap)
+        paths = (DATA_DIR / "icu_log.json", DATA_DIR / "icu_net.json") if inputs == "icu" else gen_inputs
+        args = ["bounds", "--log", str(paths[0]), "--net", str(paths[1])]
+        csv_code = main(args)
+        csv_out = capsys.readouterr().out
+        json_code = main(args + ["--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert csv_code == json_code == (0 if cap is None else 2)
+        fields = ("case_id", "lower_cost", "upper_cost", "realization_count")
+        rows = [",".join(fields)]
+        rows += [",".join("capped" if r[f] is None else str(r[f]) for f in fields) for r in doc["reports"]]
+        rows.append(f"total,{doc['total_lower']},{doc['total_upper']},")
+        assert csv_out == "\n".join(rows) + "\n"
+        assert all(r["lower_witness"] is not None for r in doc["reports"])
+
+    @pytest.mark.parametrize("flags, built", [([], False), (["--json"], True)])
+    def test_witnesses_are_built_only_for_json(self, flags, built, gen_inputs, capsys, monkeypatch):
+        calls = []
+        real = align._witness
+        monkeypatch.setattr(align, "_witness", lambda *args: calls.append(args) or real(*args))
+        for log_path, net_path in [(DATA_DIR / "icu_log.json", DATA_DIR / "icu_net.json"), gen_inputs]:
+            assert main(["bounds", "--log", str(log_path), "--net", str(net_path), *flags]) == 0
+        capsys.readouterr()
+        assert bool(calls) is built
+
+
 class TestGen:
     def test_deterministic_outputs(self, tmp_path):
         args = [

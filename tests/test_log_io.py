@@ -182,6 +182,12 @@ class TestJsonLog:
         with pytest.raises(ValidationError, match="trace 'c': event 'e1': not a UTC ISO-8601 timestamp: '2020-01-32"):
             load_log(self.one_event(**stamps), "json")
 
+    def test_unwritable_time_names_event(self):
+        year_10000 = 253402300800 * 10**9
+        trace = UncertainTrace("c", (UncertainEvent("e1", frozenset({"a"}), year_10000, year_10000),))
+        with pytest.raises(ValidationError, match="trace 'c': event 'e1': a time outside years 1-9999"):
+            save_log(UncertainLog((trace,)), "json")
+
     def test_non_object_event_rejected(self):
         doc = {"traces": [{"case_id": "c", "events": [5]}]}
         with pytest.raises(ValidationError, match="trace 'c': event 0 is a number"):
@@ -286,6 +292,12 @@ class TestXesLog:
         data = data.replace(attribute, f'key="{key}" value="2020-02-30T00:00:00Z"')
         with pytest.raises(ValidationError, match="trace 'c': event 'e1': not a UTC ISO-8601 timestamp"):
             load_log(data.encode(), "xes")
+
+    @pytest.mark.parametrize("t_min, t_max", [(0, 253402300800 * 10**9), (-62135596801 * 10**9, 0)])
+    def test_unwritable_time_names_event(self, t_min, t_max):
+        trace = UncertainTrace("c", (UncertainEvent("e1", frozenset({"a"}), t_min, t_max),))
+        with pytest.raises(ValidationError, match="trace 'c': event 'e1': a time outside years 1-9999"):
+            save_log(UncertainLog((trace,)), "xes")
 
     @given(uncertain_traces(max_events=5))
     @settings(max_examples=50, deadline=None)
