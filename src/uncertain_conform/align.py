@@ -27,14 +27,17 @@ to the nearest state with ``pre == post``, ties going to the in-edge listed
 first (source state, then transition id); the transfer before it is a
 synchronous move, else a trace-side skip, else a log move.
 
-The lower bound is one search over the lattice. The upper bound walks the
-lattice's subset construction (:func:`events.word_dag`) in lexicographic
-order of prefixes, one closed DP row per prefix, each one step of the same
-forward kernel (:func:`_transfer`) from its parent's; a prefix whose row an
-earlier prefix's row at the same walk node dominates is dropped, as in the
-antichain algorithms for automata. The realization count is the walk DAG's
-path count. :func:`log_bounds` builds each trace's lattice once for both,
-and aligns traces of equal shape (:func:`events.lattice_key`) once per call.
+Every search runs in :func:`_align`. The lower bound is one search over the
+lattice. The upper bound walks the lattice's subset construction
+(:func:`events.word_dag`) in lexicographic order of prefixes, one closed DP
+row per prefix, each one step of the same forward kernel (:func:`_transfer`)
+from its parent's; a prefix whose row an earlier prefix's row at the same
+walk node dominates is dropped, as in the antichain algorithms for automata.
+The walk finds the first costliest word; its witness is that word's optimal
+alignment, from the same search as the lower bound's, over a chain. The
+realization count is the walk DAG's path count. :func:`log_bounds` builds
+each trace's lattice once for both, and aligns traces of equal shape
+(:func:`events.lattice_key`) once per call.
 Memory is linear in the model's edges plus the two tables or the kept rows,
 which :data:`PRODUCT_CAP` bounds; :data:`events.STATE_CAP` bounds the
 model's states, each lattice and each walk DAG.
@@ -361,15 +364,27 @@ def prepare_model(model: SystemNet, cost: CostFunction = STANDARD_COST) -> None:
     _model_structures(model, cost)
 
 
+def _align(
+    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction, witness: bool = True
+) -> tuple[int, Alignment | None]:
+    """The optimal alignment cost of an acyclic trace side against the model
+    and its witness (None when ``witness`` is false); every search runs here."""
+    pre, post = _forward(in_edges, moves, cost)
+    if not witness:
+        return int(post[-1, moves.rg.final]), None
+    alignment = _witness(in_edges, pre, post, moves, cost)
+    return alignment.cost, alignment
+
+
 def _forward(
-    order: Sequence[int], in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction
+    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cheapest product runs of an acyclic trace side and the model.
 
-    ``order`` lists the trace nodes topologically, the initial node first;
-    only that node has no in-edges. ``in_edges[b]`` holds (source, label, _)
-    triples, where a None label is a free trace-side skip (an indeterminate
-    event left out).
+    Trace nodes are numbered topologically: node 0 is the initial node, the
+    only one without in-edges, and the last node is final. ``in_edges[b]``
+    holds (source, label, _) triples, where a None label is a free
+    trace-side skip (an indeterminate event left out).
     ``pre[b, v]`` is the cheapest cost of reaching trace node b with the
     model at v by a move that consumes b's in-edge; ``post[b, v]`` adds the
     model moves that follow.
@@ -384,10 +399,9 @@ def _forward(
     log_cost = float(cost.log_move)
     pre = np.full((len(in_edges), rg.n), np.inf)
     post = np.empty_like(pre)
-    first = order[0]
-    pre[first, rg.initial] = 0.0
-    post[first] = moves.initial_row
-    for b in order[1:]:
+    pre[0, rg.initial] = 0.0
+    post[0] = moves.initial_row
+    for b in range(1, len(in_edges)):
         start = len(moves.levels)
         for src, label, _ in in_edges[b]:
             start = min(start, _transfer(pre[b], post[src], label, moves, log_cost))
@@ -412,10 +426,9 @@ def _transfer(acc: np.ndarray, base: np.ndarray, label: str | None, moves: _Mode
 
 
 def _witness(
-    in_edges: Sequence[Sequence[tuple]], final: int, pre: np.ndarray, post: np.ndarray,
-    moves: _ModelMoves, cost: CostFunction,
+    in_edges: Sequence[Sequence[tuple]], pre: np.ndarray, post: np.ndarray, moves: _ModelMoves, cost: CostFunction
 ) -> Alignment:
-    """The alignment behind the tables of :func:`_forward`, ending at trace node ``final``.
+    """The alignment behind the tables of :func:`_forward`, ending at the last trace node.
 
     Walks backwards, peeling one model-move segment and then the transfer
     (sync, log move or trace-side skip) before it, until the initial node.
@@ -424,7 +437,7 @@ def _witness(
     """
     log_cost = float(cost.log_move)
     moves_rev: list[Move] = []
-    b, v = final, moves.rg.final
+    b, v = len(in_edges) - 1, moves.rg.final
     while True:
         u, path = moves.segment(pre[b], post[b], v)
         moves_rev.extend(reversed(path))
@@ -433,7 +446,7 @@ def _witness(
         b, v, move = _step_back(in_edges[b], u, pre[b, u], post, moves.rg, log_cost)
         if move is not None:
             moves_rev.append(move)
-    return Alignment(tuple(reversed(moves_rev)), int(post[final, moves.rg.final]))
+    return Alignment(tuple(reversed(moves_rev)), int(post[-1, moves.rg.final]))
 
 
 def _step_back(
@@ -460,14 +473,6 @@ def _chain(seq: Sequence[str]) -> list[tuple[tuple[int, str, None], ...]]:
     return [()] + [((i, label, None),) for i, label in enumerate(seq)]
 
 
-def _sequence_cost(seq: Sequence[str], moves: _ModelMoves, cost: CostFunction) -> tuple[np.ndarray, np.ndarray]:
-    """DP tables of a plain activity sequence against the model.
-
-    The optimal alignment cost is ``post[-1, moves.rg.final]``.
-    """
-    return _forward(range(len(seq) + 1), _chain(seq), moves, cost)
-
-
 def optimal_alignment(
     trace: Sequence[str], model: SystemNet, cost: CostFunction = STANDARD_COST
 ) -> Alignment:
@@ -476,9 +481,7 @@ def optimal_alignment(
     Deterministic for fixed inputs. Raises if the model's final marking is
     unreachable. The empty trace aligns through model moves alone.
     """
-    trace = tuple(trace)
-    moves = _model_structures(model, cost)
-    return _witness(_chain(trace), len(trace), *_sequence_cost(trace, moves, cost), moves, cost)
+    return _align(_chain(tuple(trace)), _model_structures(model, cost), cost)[1]
 
 
 def _trace_side(lattice: Lattice) -> list[list[tuple[int, str | None, int]]]:
@@ -502,13 +505,8 @@ def lower_bound(
     minimum. ``lattice`` is the trace's :func:`events.trace_lattice`, built
     here when not given.
     """
-    moves = _model_structures(model, cost)
     in_edges = _trace_side(trace_lattice(trace) if lattice is None else lattice)
-    pre, post = _forward(range(len(in_edges)), in_edges, moves, cost)
-    if not witness:
-        return int(post[-1, moves.rg.final]), None
-    alignment = _witness(in_edges, len(in_edges) - 1, pre, post, moves, cost)
-    return alignment.cost, alignment
+    return _align(in_edges, _model_structures(model, cost), cost, witness)
 
 
 def lower_bound_bruteforce(
@@ -522,16 +520,13 @@ def lower_bound_bruteforce(
     The oracle counterpart of :func:`lower_bound`; returns only the cost.
     """
     moves = _model_structures(model, cost)
-    costs = (_sequence_cost(seq, moves, cost)[1][-1, moves.rg.final] for seq in iter_realizations(trace, caps))
-    return int(min(costs))  # traces are nonempty, so at least one realization exists
+    # Traces are nonempty, so at least one realization exists.
+    return min(_align(_chain(seq), moves, cost, witness=False)[0] for seq in iter_realizations(trace, caps))
 
 
-def _costliest_realization(
-    dag: WordDag, moves: _ModelMoves, cost: CostFunction, witness: bool = True
-) -> tuple[int, Alignment | None]:
+def _costliest_realization(dag: WordDag, moves: _ModelMoves, cost: CostFunction) -> tuple[int, tuple[str, ...]]:
     """The cost of the first costliest realization in lexicographic order and
-    its witness (None when ``witness`` is false): one walk over ``dag``, the
-    trace's determinized lattice.
+    the realization: one walk over ``dag``, the trace's determinized lattice.
 
     Each prefix carries its closed DP row, one :func:`_transfer` and relax
     from its parent's. Prefixes are taken in lexicographic order, and one
@@ -539,23 +534,21 @@ def _costliest_realization(
     dropped: the walk node fixes the completions, so each completion costs
     at least as much after the earlier prefix and comes first in that order.
     A prefix at a walk node without children has no completions to prune, so
-    its row is kept only while it is the maximum. The winner's ``pre`` rows
-    are rebuilt from its prefix chain for the witness. Kept rows times model
+    its row is kept only while it is the maximum. Kept rows times model
     states are capped by :data:`PRODUCT_CAP`.
     """
     rg = moves.rg
     log_cost = float(cost.log_move)
-    root = (moves.initial_row, None, None)  # per kept prefix: (row, last symbol, parent prefix)
     kept: list[list[np.ndarray]] = [[] for _ in dag.children]
     kept[0].append(moves.initial_row)
     kept_rows = 1
-    best, winner = (moves.initial_row[rg.final], root) if dag.accepting[0] else (-np.inf, None)
-    stack = [(root, symbol, child) for symbol, child in reversed(dag.children[0])]
+    best, winner = (moves.initial_row[rg.final], ()) if dag.accepting[0] else (-np.inf, None)
+    # Per entry: the parent prefix's row, the prefix spelled so far, its walk node.
+    stack = [(moves.initial_row, (symbol,), child) for symbol, child in reversed(dag.children[0])]
     while stack:
-        parent, symbol, w = stack.pop()
+        base, word, w = stack.pop()
         row = np.full(rg.n, np.inf)
-        moves.relax(row, _transfer(row, parent[0], symbol, moves, log_cost))
-        prefix = (row, symbol, parent)
+        moves.relax(row, _transfer(row, base, word[-1], moves, log_cost))
         if dag.children[w]:
             if any((other >= row).all() for other in kept[w]):
                 continue
@@ -565,23 +558,10 @@ def _costliest_realization(
                     f"upper-bound walk keeps {kept_rows} rows x {rg.n} model states, over the product cap ({PRODUCT_CAP})"
                 )
             kept[w].append(row)
-            stack.extend((prefix, label, child) for label, child in reversed(dag.children[w]))
+            stack.extend((row, word + (label,), child) for label, child in reversed(dag.children[w]))
         if dag.accepting[w] and row[rg.final] > best:
-            best, winner = row[rg.final], prefix
-    if not witness:
-        return int(best), None
-    word, chain = [], []
-    while winner[2] is not None:
-        row, symbol, winner = winner
-        word.append(symbol)
-        chain.append(row)
-    word.reverse()
-    post = np.array([moves.initial_row, *reversed(chain)])
-    pre = np.full_like(post, np.inf)
-    pre[0, rg.initial] = 0.0
-    for i, label in enumerate(word, 1):
-        _transfer(pre[i], post[i - 1], label, moves, log_cost)
-    return int(best), _witness(_chain(word), len(word), pre, post, moves, cost)
+            best, winner = row[rg.final], word
+    return int(best), winner
 
 
 def upper_bound(
@@ -595,10 +575,13 @@ def upper_bound(
     One walk over the trace's determinized lattice carries an alignment row
     per prefix and drops the prefixes an earlier one dominates; the
     realization cap (``caps``) is checked on the path count before it. The
-    witness aligns the first realization attaining the maximum in
-    lexicographic order of activity sequences.
+    walk finds the first realization attaining the maximum in lexicographic
+    order of activity sequences; the witness is that realization's optimal
+    alignment, from the same search as the lower bound's.
     """
-    return _costliest_realization(realization_dag(trace, caps), _model_structures(model, cost), cost)
+    moves = _model_structures(model, cost)
+    _, word = _costliest_realization(realization_dag(trace, caps), moves, cost)
+    return _align(_chain(word), moves, cost)
 
 
 @dataclass(frozen=True)
@@ -684,7 +667,8 @@ def log_bounds(
                 else:
                     dag = realization_dag(trace, caps, lattice)
                     count = dag.count
-                    up, up_witness = _costliest_realization(dag, moves, cost, witnesses)
+                    up, word = _costliest_realization(dag, moves, cost)
+                    up_witness = _align(_chain(word), moves, cost)[1] if witnesses else None
             except CapExceeded as exc:
                 reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
                 continue

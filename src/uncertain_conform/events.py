@@ -357,17 +357,14 @@ def realization_dag(
     return word_dag(trace_lattice(trace) if lattice is None else lattice, caps.max_realizations, message, owner)
 
 
-def iter_realizations(
-    trace: UncertainTrace, caps: EnumerationCaps | None = None, lattice: Lattice | None = None
-) -> Iterator[tuple[str, ...]]:
+def iter_realizations(trace: UncertainTrace, caps: EnumerationCaps | None = None) -> Iterator[tuple[str, ...]]:
     """Distinct realizations, in lexicographic order of activity sequences.
 
     Each event emits one of its labels where it is placed; an indeterminate
-    event may also emit nothing. The cap and ``lattice`` are as for
-    :func:`realization_dag`; a trace over the cap raises here, before the
-    first realization.
+    event may also emit nothing. The cap is as for :func:`realization_dag`;
+    a trace over the cap raises here, before the first realization.
     """
-    return linear_words(realization_dag(trace, caps, lattice))
+    return linear_words(realization_dag(trace, caps))
 
 
 def realizations(trace: UncertainTrace, caps: EnumerationCaps | None = None) -> set[tuple[str, ...]]:

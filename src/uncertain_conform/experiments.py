@@ -115,10 +115,11 @@ def run_performance(spec: ExperimentSpec, p: float = 0.05, uncertainty_name: str
     """Wall-clock comparison of the one-search and brute-force lower bounds.
 
     The one search runs over the behavior net's state space (the lattice of
-    order ideals); its rows keep the method name ``behavior_net``.
-    Rows: n, method in {behavior_net, brute_force}, mean_seconds (per trace,
-    averaged over repetitions). Costs must agree on every trace; a brute-force
-    cap marks the row "timeout" instead of aborting.
+    order ideals); its rows keep the method name ``behavior_net``. Both
+    methods compute the cost alone, without a witness. Rows: n, method in
+    {behavior_net, brute_force}, mean_seconds (per trace, averaged over
+    repetitions). Costs must agree on every trace; a brute-force cap marks
+    the row "timeout" instead of aborting.
     """
     rows = []
     for size in spec.net_sizes:
@@ -131,7 +132,7 @@ def run_performance(spec: ExperimentSpec, p: float = 0.05, uncertainty_name: str
             prepare_model(model, STANDARD_COST)  # shared precomputation outside both clocks
             for trace in uncertain:
                 start = time.perf_counter()
-                behavior_cost, _ = lower_bound(trace, model, STANDARD_COST)
+                behavior_cost, _ = lower_bound(trace, model, STANDARD_COST, witness=False)
                 behavior_times.append(time.perf_counter() - start)
                 try:
                     start = time.perf_counter()

@@ -281,8 +281,8 @@ class TestLogBounds:
         labels = frozenset(sorted(model.net.labels.values())[:3])
         trace = UncertainTrace("c", tuple(UncertainEvent(f"e{i}", labels, i, i) for i in range(9)))  # 3^9 realizations
         calls = []
-        real = align._sequence_cost
-        monkeypatch.setattr(align, "_sequence_cost", lambda *args: calls.append(args) or real(*args))
+        real = align._costliest_realization
+        monkeypatch.setattr(align, "_costliest_realization", lambda *args: calls.append(args) or real(*args))
         result = log_bounds(UncertainLog((trace,)), model, caps=EnumerationCaps(max_realizations=5000))
         assert "realization cap" in result.reports[0].error
         assert calls == []
@@ -645,11 +645,10 @@ def first_costliest(trace, model, cost):
     moves = align._model_structures(model, cost)
     worst = None
     for seq in events.iter_realizations(trace):
-        pre, post = align._sequence_cost(seq, moves, cost)
-        if worst is None or post[-1, moves.rg.final] > worst[0]:
-            worst = post[-1, moves.rg.final], seq, pre, post
-    _, seq, pre, post = worst
-    return align._witness(align._chain(seq), len(seq), pre, post, moves, cost)
+        seq_cost, alignment = align._align(align._chain(seq), moves, cost)
+        if worst is None or seq_cost > worst[0]:
+            worst = seq_cost, alignment
+    return worst[1]
 
 
 class TestUpperBoundWalk:

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, CSV schemas, exit codes, determinism."""
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -53,6 +54,15 @@ class TestBounds:
         assert witness["cost"] == 2
         move = witness["moves"][0]
         assert set(move) == {"log", "model_label", "model_transition"}
+
+    def test_json_is_the_golden_file(self, capsys):
+        # tests/data/icu_bounds.json pins every byte of both witnesses, not only their costs.
+        code = main([
+            "bounds", "--log", str(DATA_DIR / "icu_log.json"),
+            "--net", str(DATA_DIR / "icu_net.json"), "--json",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.encode("utf-8") == (DATA_DIR / "icu_bounds.json").read_bytes()
 
     def test_missing_file_exits_1(self, capsys):
         code = main(["bounds", "--log", "/nonexistent.json", "--net", str(DATA_DIR / "icu_net.json")])
@@ -236,6 +246,10 @@ class TestBounds:
         assert "reachability exploration exceeded the state cap (50)" in captured.err
 
 
+#: SHA-256 of ``bounds --json`` on the ``gen`` log of :class:`TestWitnessesOnlyForJson` (seed ``w1``).
+GEN_JSON_SHA256 = "a5c4d0527cb9bdbaedbb0c2e6d911ca209acee7d25b4e3f61c995386870f931e"
+
+
 class TestWitnessesOnlyForJson:
     """``bounds`` builds witnesses for ``--json`` alone; the costs are the same either way."""
 
@@ -267,6 +281,11 @@ class TestWitnessesOnlyForJson:
         rows.append(f"total,{doc['total_lower']},{doc['total_upper']},")
         assert csv_out == "\n".join(rows) + "\n"
         assert all(r["lower_witness"] is not None for r in doc["reports"])
+
+    def test_gen_json_is_pinned(self, gen_inputs, capsys):
+        log_path, net_path = gen_inputs
+        assert main(["bounds", "--log", str(log_path), "--net", str(net_path), "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == GEN_JSON_SHA256
 
     @pytest.mark.parametrize("flags, built", [([], False), (["--json"], True)])
     def test_witnesses_are_built_only_for_json(self, flags, built, gen_inputs, capsys, monkeypatch):
