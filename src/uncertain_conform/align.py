@@ -38,12 +38,20 @@ alignment, from the same search as the lower bound's, over a chain. The
 realization count is the walk DAG's path count. :func:`log_bounds` builds
 each trace's lattice once for both, and aligns traces of equal shape
 (:func:`events.lattice_key`) once per call.
+
+A closed row depends only on the word that reaches it, so one call keeps a
+trie of closed rows keyed by word prefix (:class:`_PrefixMemo`): the walk,
+the witness chain and each lattice node reached by one path read their rows
+from it, and a prefix is relaxed once per call, whichever search spells it
+first. :func:`log_bounds` shares one trie across its traces.
 Memory is linear in the model's edges plus the two tables or the kept rows,
-which :data:`PRODUCT_CAP` bounds; :data:`events.STATE_CAP` bounds the
-model's states, each lattice and each walk DAG.
+which :data:`PRODUCT_CAP` bounds, plus the trie, which stops storing rows
+at :data:`MEMO_CELLS` cells; :data:`events.STATE_CAP` bounds the model's
+states, each lattice and each walk DAG.
 """
 from __future__ import annotations
 
+import numbers
 import threading
 from collections import deque
 from collections.abc import Iterator, Sequence
@@ -63,6 +71,9 @@ from .petri import SystemNet
 #: Cells (trace-side states x model states) of one alignment's two float64 tables.
 PRODUCT_CAP = 30_000_000
 
+#: Cells (rows x model states) of closed rows one call's prefix memo stores.
+MEMO_CELLS = 2**16
+
 NO_MOVE = ">>"
 TAU_MARKER = "tau"
 
@@ -76,6 +87,10 @@ class CostFunction:
     model_move: int = 1
 
     def __post_init__(self):
+        for name in ("log_move", "model_move"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValidationError(f"{name} cost must be an integer, not {value!r}")
         if self.log_move < 0 or self.model_move < 0:
             raise ValidationError("move costs must be nonnegative")
 
@@ -289,6 +304,7 @@ class _ModelMoves:
         self.initial_row = np.full(rg.n, np.inf)
         self.initial_row[rg.initial] = 0.0
         self.relax(self.initial_row)
+        self.initial_row.flags.writeable = False
 
     def weight(self, label: str | None) -> float:
         return 0.0 if label is None else self.model_cost
@@ -364,12 +380,57 @@ def prepare_model(model: SystemNet, cost: CostFunction = STANDARD_COST) -> None:
     _model_structures(model, cost)
 
 
+class _PrefixMemo:
+    """Closed DP rows keyed by word prefix, a trie local to one call.
+
+    ``root`` is the empty word. Once the memo holds :data:`MEMO_CELLS`
+    cells it stores no new row; a row it does not store is still computed
+    and returned, so results do not depend on the budget.
+    """
+
+    def __init__(self, moves: _ModelMoves, cost: CostFunction):
+        self.moves = moves
+        self.log_cost = float(cost.log_move)
+        self.free = MEMO_CELLS
+        self.root = _Prefix(self, moves.initial_row)
+
+
+class _Prefix:
+    """One word prefix of a :class:`_PrefixMemo`: its read-only closed row,
+    its stored children by label, and whether the memo stored it. A prefix
+    the memo did not store never gets children: the budget was spent first."""
+
+    __slots__ = ("memo", "row", "children", "stored")
+
+    def __init__(self, memo: _PrefixMemo, row: np.ndarray, stored: bool = True):
+        row.flags.writeable = False
+        self.memo, self.row, self.children, self.stored = memo, row, {}, stored
+
+    def child(self, label: str | None) -> _Prefix:
+        """This prefix followed by ``label``: one :func:`_transfer` and relax
+        the first time a label is used; a None (skip) label spells nothing."""
+        if label is None:
+            return self
+        node = self.children.get(label)
+        if node is None:
+            memo, moves = self.memo, self.memo.moves
+            row = np.full(moves.rg.n, np.inf)
+            moves.relax(row, _transfer(row, self.row, label, moves, memo.log_cost))
+            node = _Prefix(memo, row, memo.free >= row.size)
+            if node.stored:
+                memo.free -= row.size
+                self.children[label] = node
+        return node
+
+
 def _align(
-    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction, witness: bool = True
+    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction, witness: bool = True,
+    memo: _PrefixMemo | None = None,
 ) -> tuple[int, Alignment | None]:
     """The optimal alignment cost of an acyclic trace side against the model
-    and its witness (None when ``witness`` is false); every search runs here."""
-    pre, post = _forward(in_edges, moves, cost)
+    and its witness (None when ``witness`` is false); every search runs here,
+    reading closed rows from ``memo`` where it can."""
+    pre, post = _forward(in_edges, moves, cost, memo)
     if not witness:
         return int(post[-1, moves.rg.final]), None
     alignment = _witness(in_edges, pre, post, moves, cost)
@@ -377,7 +438,7 @@ def _align(
 
 
 def _forward(
-    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction
+    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction, memo: _PrefixMemo | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cheapest product runs of an acyclic trace side and the model.
 
@@ -388,6 +449,8 @@ def _forward(
     ``pre[b, v]`` is the cheapest cost of reaching trace node b with the
     model at v by a move that consumes b's in-edge; ``post[b, v]`` adds the
     model moves that follow.
+    A node with one in-edge from a node whose one path from node 0 spells a
+    word spells that word plus its label, and takes ``post`` from ``memo``.
     """
     rg = moves.rg
     cells = len(in_edges) * rg.n
@@ -401,12 +464,21 @@ def _forward(
     post = np.empty_like(pre)
     pre[0, rg.initial] = 0.0
     post[0] = moves.initial_row
+    # The stored memo prefix of each node with one path from node 0, else None.
+    prefixes: list[_Prefix | None] = [None if memo is None else memo.root] + [None] * (len(in_edges) - 1)
     for b in range(1, len(in_edges)):
         start = len(moves.levels)
         for src, label, _ in in_edges[b]:
             start = min(start, _transfer(pre[b], post[src], label, moves, log_cost))
-        post[b] = pre[b]
-        moves.relax(post[b], start)
+        if len(in_edges[b]) == 1 and prefixes[src] is not None:
+            prefix = prefixes[src].child(label)
+            post[b] = prefix.row
+            # A prefix the memo did not store leads to no stored row; holding
+            # its row until the end would add a third table.
+            prefixes[b] = prefix if prefix.stored else None
+        else:
+            post[b] = pre[b]
+            moves.relax(post[b], start)
     return pre, post
 
 
@@ -495,7 +567,7 @@ def _trace_side(lattice: Lattice) -> list[list[tuple[int, str | None, int]]]:
 
 def lower_bound(
     trace: UncertainTrace, model: SystemNet, cost: CostFunction = STANDARD_COST, lattice: Lattice | None = None,
-    witness: bool = True,
+    witness: bool = True, memo: _PrefixMemo | None = None,
 ) -> tuple[int, Alignment | None]:
     """Best-case conformance cost over all realizations, with a witness
     (None when ``witness`` is false).
@@ -503,10 +575,13 @@ def lower_bound(
     One search over the product of the trace's lattice of order ideals and
     the model; the witness's log projection is the realization achieving the
     minimum. ``lattice`` is the trace's :func:`events.trace_lattice`, built
-    here when not given.
+    here when not given. ``memo`` shares closed rows with other searches on
+    the same model and costs (:func:`log_bounds`); a fresh one is made when
+    not given.
     """
     in_edges = _trace_side(trace_lattice(trace) if lattice is None else lattice)
-    return _align(in_edges, _model_structures(model, cost), cost, witness)
+    moves = _model_structures(model, cost)
+    return _align(in_edges, moves, cost, witness, _PrefixMemo(moves, cost) if memo is None else memo)
 
 
 def lower_bound_bruteforce(
@@ -524,12 +599,13 @@ def lower_bound_bruteforce(
     return min(_align(_chain(seq), moves, cost, witness=False)[0] for seq in iter_realizations(trace, caps))
 
 
-def _costliest_realization(dag: WordDag, moves: _ModelMoves, cost: CostFunction) -> tuple[int, tuple[str, ...]]:
+def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[str, ...]]:
     """The cost of the first costliest realization in lexicographic order and
     the realization: one walk over ``dag``, the trace's determinized lattice.
 
-    Each prefix carries its closed DP row, one :func:`_transfer` and relax
-    from its parent's. Prefixes are taken in lexicographic order, and one
+    Each prefix carries its closed DP row from ``memo``, one
+    :func:`_transfer` and relax from its parent's when the memo does not
+    hold it. Prefixes are taken in lexicographic order, and one
     whose row a row kept earlier at the same walk node bounds from above is
     dropped: the walk node fixes the completions, so each completion costs
     at least as much after the earlier prefix and comes first in that order.
@@ -537,18 +613,18 @@ def _costliest_realization(dag: WordDag, moves: _ModelMoves, cost: CostFunction)
     its row is kept only while it is the maximum. Kept rows times model
     states are capped by :data:`PRODUCT_CAP`.
     """
-    rg = moves.rg
-    log_cost = float(cost.log_move)
+    rg = memo.moves.rg
+    root = memo.root
     kept: list[list[np.ndarray]] = [[] for _ in dag.children]
-    kept[0].append(moves.initial_row)
+    kept[0].append(root.row)
     kept_rows = 1
-    best, winner = (moves.initial_row[rg.final], ()) if dag.accepting[0] else (-np.inf, None)
-    # Per entry: the parent prefix's row, the prefix spelled so far, its walk node.
-    stack = [(moves.initial_row, (symbol,), child) for symbol, child in reversed(dag.children[0])]
+    best, winner = (root.row[rg.final], ()) if dag.accepting[0] else (-np.inf, None)
+    # Per entry: the parent prefix, the prefix spelled so far, its walk node.
+    stack = [(root, (symbol,), child) for symbol, child in reversed(dag.children[0])]
     while stack:
-        base, word, w = stack.pop()
-        row = np.full(rg.n, np.inf)
-        moves.relax(row, _transfer(row, base, word[-1], moves, log_cost))
+        parent, word, w = stack.pop()
+        prefix = parent.child(word[-1])
+        row = prefix.row
         if dag.children[w]:
             if any((other >= row).all() for other in kept[w]):
                 continue
@@ -558,7 +634,7 @@ def _costliest_realization(dag: WordDag, moves: _ModelMoves, cost: CostFunction)
                     f"upper-bound walk keeps {kept_rows} rows x {rg.n} model states, over the product cap ({PRODUCT_CAP})"
                 )
             kept[w].append(row)
-            stack.extend((row, word + (label,), child) for label, child in reversed(dag.children[w]))
+            stack.extend((prefix, word + (label,), child) for label, child in reversed(dag.children[w]))
         if dag.accepting[w] and row[rg.final] > best:
             best, winner = row[rg.final], word
     return int(best), winner
@@ -580,8 +656,9 @@ def upper_bound(
     alignment, from the same search as the lower bound's.
     """
     moves = _model_structures(model, cost)
-    _, word = _costliest_realization(realization_dag(trace, caps), moves, cost)
-    return _align(_chain(word), moves, cost)
+    memo = _PrefixMemo(moves, cost)
+    _, word = _costliest_realization(realization_dag(trace, caps), memo)
+    return _align(_chain(word), moves, cost, memo=memo)
 
 
 @dataclass(frozen=True)
@@ -647,9 +724,12 @@ def log_bounds(
     which its :func:`events.lattice_key` fixes node for node and edge for
     edge; case and event ids reach none of them. A trace whose key was seen
     uncapped reuses that result. A capped shape is not kept, so each capped
-    trace is searched again and its error names its own case.
+    trace is searched again and its error names its own case. Traces of
+    different shapes share one prefix memo, so a word prefix that any
+    trace spelled before is not relaxed again.
     """
     moves = _model_structures(model, cost)
+    memo = _PrefixMemo(moves, cost)
     shapes: dict[LatticeKey, tuple[int, int, Alignment | None, Alignment | None, int]] = {}
     reports: list[BoundsReport] = []
     total_lower = 0
@@ -661,14 +741,14 @@ def log_bounds(
             low_witness: Alignment | None = None
             try:
                 lattice = trace_lattice(trace, key)
-                low, low_witness = lower_bound(trace, model, cost, lattice, witnesses)
+                low, low_witness = lower_bound(trace, model, cost, lattice, witnesses, memo)
                 if all(len(edges) <= 1 for edges in lattice):
                     count, up, up_witness = 1, low, low_witness
                 else:
                     dag = realization_dag(trace, caps, lattice)
                     count = dag.count
-                    up, word = _costliest_realization(dag, moves, cost)
-                    up_witness = _align(_chain(word), moves, cost)[1] if witnesses else None
+                    up, word = _costliest_realization(dag, memo)
+                    up_witness = _align(_chain(word), moves, cost, memo=memo)[1] if witnesses else None
             except CapExceeded as exc:
                 reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
                 continue

@@ -148,6 +148,17 @@ class TestOptimalAlignment:
         with pytest.raises(ValidationError):
             CostFunction(log_move=-1)
 
+    # 0.5 was truncated to 0, so ["a", "c", "b"] against a, b cost 0; NaN
+    # failed the witness walk as a broken invariant; True was taken as 1.
+    @pytest.mark.parametrize("costs, message", [
+        ((0.5, 1), "log_move cost must be an integer, not 0.5"),
+        ((1, float("nan")), "model_move cost must be an integer, not nan"),
+        ((True, 1), "log_move cost must be an integer, not True"),
+    ], ids=["fraction", "nan", "bool"])
+    def test_non_integer_cost_rejected(self, costs, message):
+        with pytest.raises(ValidationError, match=message):
+            CostFunction(*costs)
+
 
 class TestMoveAndAlignmentEncoding:
     def test_move_json_markers(self):
@@ -610,6 +621,22 @@ class TestMemory:
         assert states == 5182
         assert peak < states * states * 8 / 4
 
+    @pytest.mark.parametrize("budget", [0, 2**16])
+    def test_prefix_memo_adds_at_most_its_budget(self, monkeypatch, budget):
+        model = random_block_net(30, "probe|30|2")
+        labels = sorted(model.net.labels.values())
+        trace = UncertainTrace("c", tuple(certain_event(f"e{i}", labels[i % len(labels)], i) for i in range(100)))
+        prepare_model(model)
+        monkeypatch.setattr(align, "MEMO_CELLS", budget)
+        tracemalloc.start()
+        try:
+            lower_bound(trace, model, witness=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = len(trace) * align.reachability_graph(model).n * 8  # about 4 MB
+        assert peak < 2.2 * table + 8 * budget
+
 
 #: Enough language firings for every model of TestBruteForceAgreement.
 LANGUAGE_FIRINGS = 2_500_000
@@ -706,6 +733,99 @@ class TestWitnessesOnRequest:
             dataclasses.replace(r, lower_witness=None, upper_witness=None) for r in full.reports
         )
         assert (bare.total_lower, bare.total_upper) == (full.total_lower, full.total_upper)
+
+
+def related_traces(trace, label):
+    """The trace, each of its proper prefixes (by storage order) and each
+    relabelling of one of its events to ``label``, under distinct ids."""
+    def renamed(case, events):
+        return UncertainTrace(case, tuple(dataclasses.replace(e, id=f"{case}.{e.id}") for e in events))
+
+    events = trace.events
+    return (
+        [renamed("whole", events)]
+        + [renamed(f"prefix{k}", events[:k]) for k in range(1, len(events))]
+        + [
+            renamed(f"relabel{i}", events[:i] + (dataclasses.replace(e, activities={label}),) + events[i + 1:])
+            for i, e in enumerate(events)
+        ]
+    )
+
+
+class TestPrefixMemo:
+    """log_bounds shares closed rows across the traces of one call, keyed by word prefix."""
+
+    @given(models_and_traces(max_events=5, max_transitions=8), st.sampled_from([(1, 1), (2, 1), (1, 3)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_rows_give_each_trace_its_own_bounds(self, model_and_trace, costs, data):
+        model, trace = model_and_trace
+        label = data.draw(st.sampled_from(sorted(model.net.labels.values()) + ["noise1"]))
+        log = UncertainLog(tuple(related_traces(trace, label)))
+        cost = CostFunction(*costs)
+        moves = align._model_structures(model, cost)
+        full = log_bounds(log, model, cost)
+        for t, report in zip(log, full.reports):
+            alone = lower_bound(t, model, cost)
+            assert (report.lower_cost, report.lower_witness) == alone
+            # The same search without a memo.
+            assert alone == align._align(align._trace_side(events.trace_lattice(t)), moves, cost)
+            assert (report.upper_cost, report.upper_witness) == upper_bound(t, model, cost)
+        bare = log_bounds(log, model, cost, witnesses=False)
+        assert bare.reports == tuple(
+            dataclasses.replace(r, lower_witness=None, upper_witness=None) for r in full.reports
+        )
+        with mock.patch.object(align, "MEMO_CELLS", 0):
+            assert log_bounds(log, model, cost) == full
+            assert log_bounds(log, model, cost, witnesses=False) == bare
+
+    def test_words_spelled_before_add_no_relax(self, monkeypatch):
+        model = event_net(["a", "b", "c"])
+        prepare_model(model)
+        relaxed = []
+        real = align._ModelMoves.relax
+        monkeypatch.setattr(align._ModelMoves, "relax", lambda self, *args: relaxed.append(args) or real(self, *args))
+
+        def relaxes(*traces):
+            relaxed.clear()
+            log_bounds(UncertainLog(traces), model)
+            return len(relaxed)
+
+        # Overlapping events: its walk spells a, ab, b and ba.
+        both = UncertainTrace("both", (UncertainEvent("x", {"a"}, 0, 1), UncertainEvent("y", {"b"}, 1, 2)))
+        ab = UncertainTrace("ab", (certain_event("ab.a", "a", 0), certain_event("ab.b", "b", 1)))
+        ba = UncertainTrace("ba", (certain_event("ba.b", "b", 0), certain_event("ba.a", "a", 1)))
+        assert relaxes(ab) == relaxes(ba) == 2
+        assert relaxes(both, ab, ba) == relaxes(both) > 0
+        with monkeypatch.context() as budget:
+            budget.setattr(align, "MEMO_CELLS", 0)
+            assert relaxes(both, ab, ba) == relaxes(both) + 4
+
+    def test_rows_are_read_only(self):
+        model = event_net(["a", "b"])
+        moves = align._model_structures(model, STANDARD_COST)
+        memo = align._PrefixMemo(moves, STANDARD_COST)
+        stored = memo.root.child("a")
+        with mock.patch.object(align, "MEMO_CELLS", 0):
+            unstored = align._PrefixMemo(moves, STANDARD_COST).root.child("a")
+        assert memo.root.child("a") is stored
+        assert unstored.row.tolist() == stored.row.tolist()
+        for row in (memo.root.row, stored.row, unstored.row, moves.initial_row):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+
+    def test_budget_caps_the_stored_rows(self, monkeypatch):
+        model = event_net(["a", "b"])  # 3 states
+        moves = align._model_structures(model, STANDARD_COST)
+        monkeypatch.setattr(align, "MEMO_CELLS", 2 * moves.rg.n)
+        memo = align._PrefixMemo(moves, STANDARD_COST)
+        a = memo.root.child("a")
+        ab = a.child("b")
+        abb = ab.child("b")
+        assert memo.free == 0
+        assert memo.root.children == {"a": a} and a.children == {"b": ab} and ab.children == {}
+        assert abb.stored is False and ab.child("b") is not abb
+        assert ab.child("b").row.tolist() == abb.row.tolist()
+        assert a.child(None) is a
 
 
 class TestBenchmarkHooks:
