@@ -189,16 +189,19 @@ class ReachabilityGraph:
         self.transitions: tuple[str, ...] = net._sorted_transitions
         self.labels: tuple[str | None, ...] = tuple(net.label(t) for t in self.transitions)
         # Arcs form a set, so every preset weight is 1: t is enabled when all of
-        # its input places are marked.
-        pre = np.zeros((len(column), len(self.transitions)), np.float32)
+        # its input places are marked. ``inputs[j]`` lists t_j's input columns,
+        # padded with an extra column that is always marked. Enabling is a
+        # gather, not a matrix product: a BLAS product runs on worker threads
+        # that keep spinning for about 0.1 s after it returns, and the
+        # alignment that follows shares the CPUs with them.
+        presets = [[column[p] for p in net.preset(t)] for t in self.transitions]
+        inputs = np.full((len(presets), max(map(len, presets), default=0)), len(column), np.intp)
         delta = np.zeros((len(self.transitions), len(column)), np.int32)
         for j, t in enumerate(self.transitions):
-            for p in net.preset(t):
-                pre[column[p], j] = 1
-                delta[j, column[p]] -= 1
+            inputs[j, :len(presets[j])] = presets[j]
+            delta[j, presets[j]] -= 1
             for p in net.postset(t):
                 delta[j, column[p]] += 1
-        need = pre.sum(0)
 
         def row(name: str, marking) -> np.ndarray:
             counts = np.zeros(len(column), np.int32)
@@ -218,7 +221,12 @@ class ReachabilityGraph:
             depth.append(layer - done)
             for lo in range(done, layer, _SLICE):
                 block = rows[lo:min(lo + _SLICE, layer)]
-                fi, ti = ((block > 0) @ pre == need).nonzero()
+                marked = np.ones((len(block), len(column) + 1), bool)
+                np.greater(block, 0, out=marked[:, :-1])
+                enabled = np.ones((len(block), len(inputs)), bool)
+                for places in inputs.T:
+                    enabled &= marked[:, places]
+                fi, ti = enabled.nonzero()
                 succ = block.take(fi, 0) + delta.take(ti, 0)
                 buf = succ.tobytes()
                 # A row not seen before takes the next number.

@@ -585,6 +585,13 @@ class TestReachabilityGraph:
         assert (rg.n, rg.final) == (6, 5)
         assert optimal_alignment(["a", "b", "a", "b"], sn).cost == 0
 
+    def test_transition_without_input_places(self):
+        net = PetriNet(["p0", "p1"], ["a", "idle"], [("p0", "a"), ("a", "p1")], {"a": "a"})
+        sn = SystemNet(net, Marking(["p0"]), Marking(["p1"]))
+        assert_matches_reference(sn)
+        rg = align.reachability_graph(sn)
+        assert sorted(zip(rg.src.tolist(), rg.tr.tolist(), rg.dst.tolist())) == [(0, 0, 1), (0, 1, 0), (1, 1, 1)]
+
     @pytest.mark.parametrize("path, states, final", [
         (DATA_DIR / "icu_net.json", 94, 91),
         (BENCH_INPUTS / "small.net.json", 30, 1),
