@@ -13,10 +13,12 @@ search in disguise: no heuristic, exact costs.
 The model's reachable markings are explored breadth-first as int32 rows of
 token counts, one layer at a time, and the graph is kept in flat arrays
 (:class:`ReachabilityGraph`); no ``Marking`` is built on this path.
-Model moves are relaxed over the model graph's own edges, filed under the
-longest-path level of their target: one ``np.minimum.at`` per level, in
-level order, closes a row in one sweep. A cyclic graph takes its levels from
-its breadth-first depth and is swept until nothing changes. A row made of
+Model moves are relaxed over the model graph's edges, filed under the
+longest-path level of their target. Consecutive levels form sweeps, and one
+``np.minimum.at`` per sweep, in level order, closes a row: a sweep's edges
+are composed through its levels, so one gather of its sources serves them
+all. A cyclic graph takes its levels from its breadth-first depth, keeps one
+sweep per level and is swept until nothing changes. A row made of
 closed rows by log moves and trace-side skips is closed; a synchronous
 landing opens it only past its target, so a relax starts at the level after
 the shallowest synchronous target just reached, if any.
@@ -31,8 +33,11 @@ Every search runs in :func:`_align`. The lower bound is one search over the
 lattice. The upper bound walks the lattice's subset construction
 (:func:`events.word_dag`) in lexicographic order of prefixes, one closed DP
 row per prefix, each one step of the same forward kernel (:func:`_transfer`)
-from its parent's; a prefix whose row an earlier prefix's row at the same
-walk node dominates is dropped, as in the antichain algorithms for automata.
+from its parent's. An earlier prefix's row at the same walk node, shifted
+up by the most the new row exceeds it, bounds the new prefix's completions
+by its own finished subtree's; a prefix whose bound cannot beat the best
+cost found is dropped, as in the antichain algorithms with simulation for
+automata.
 The walk finds the first costliest word; its witness is that word's optimal
 alignment, from the same search as the lower bound's, over a chain. The
 realization count is the walk DAG's path count. :func:`log_bounds` builds
@@ -47,7 +52,8 @@ first. :func:`log_bounds` shares one trie across its traces.
 Memory is linear in the model's edges plus the two tables or the kept rows,
 which :data:`PRODUCT_CAP` bounds, plus the trie, which stops storing rows
 at :data:`MEMO_CELLS` cells; :data:`events.STATE_CAP` bounds the model's
-states, each lattice and each walk DAG.
+states, each lattice and each walk DAG, and :data:`SCAN_CAP` the walk's
+comparisons with kept rows.
 """
 from __future__ import annotations
 
@@ -73,6 +79,9 @@ PRODUCT_CAP = 30_000_000
 
 #: Cells (rows x model states) of closed rows one call's prefix memo stores.
 MEMO_CELLS = 2**16
+
+#: Cells (kept rows x model states) one upper-bound walk may compare in all.
+SCAN_CAP = 10**9
 
 NO_MOVE = ">>"
 TAU_MARKER = "tau"
@@ -288,8 +297,10 @@ class _ModelMoves:
     """The model moves of a reachability graph under one cost function, built
     once per (model, cost) and read-only afterwards.
 
-    ``levels[k]`` holds (sources, targets, weights) of the edges into level
-    k; ``sync[label]`` holds (sources, targets, start level) of its edges.
+    ``sweeps`` holds (sources, targets, weights) per sweep, a run of
+    consecutive levels closed by one ``np.minimum.at``; ``sweep_at[k]`` is
+    the sweep that holds level k, and ``sweep_at[depth]`` is past the last.
+    ``sync[label]`` holds (sources, targets, start level) of its edges.
     """
 
     def __init__(self, rg: ReachabilityGraph, cost: CostFunction):
@@ -298,10 +309,8 @@ class _ModelMoves:
         self.cyclic = rg.cyclic
         target_level = rg.level[rg.dst]
         weights = np.array([self.weight(label) for label in rg.labels])[rg.tr]
-        self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-            (rg.src[k], rg.dst[k], weights[k])
-            for k in _groups(target_level, int(rg.level.max()) + 1)
-        ]
+        self.depth = int(rg.level.max()) + 1
+        self.sweeps, self.sweep_at = _sweeps(rg, weights, self.depth)
         names = sorted({label for label in rg.labels if label is not None})
         code = np.array([-1 if label is None else names.index(label) for label in rg.labels], np.intp)
         self.sync: dict[str, tuple[np.ndarray, np.ndarray, int]] = {
@@ -319,11 +328,14 @@ class _ModelMoves:
 
     def relax(self, row: np.ndarray, start: int = 0) -> None:
         """Close ``row`` under model moves in place, given that every edge into
-        a level before ``start`` is already tight (always 0 on a cyclic graph)."""
-        changed = start < len(self.levels)
+        a level before ``start`` is already tight (always 0 on a cyclic graph):
+        one ``np.minimum.at`` per sweep, from the sweep that holds ``start``.
+        Levels of that sweep before ``start`` only see tight paths again."""
+        sweeps = self.sweeps[self.sweep_at[start]:]
+        changed = bool(sweeps)
         while changed:
             before = row.copy() if self.cyclic else None
-            for sources, targets, weights in self.levels[start:]:
+            for sources, targets, weights in sweeps:
                 np.minimum.at(row, targets, row[sources] + weights)
             changed = before is not None and not np.array_equal(before, row)
 
@@ -350,6 +362,83 @@ class _ModelMoves:
             x, move = link
             path.append(move)
         return u, path
+
+
+#: Most edges that composing one more level into a sweep may add to it,
+#: counted before parallel edges merge: one ``np.minimum.at`` call costs
+#: about 2-3 µs, against about 8 ns per edge.
+SWEEP_EDGES = 256
+
+
+def _sweeps(rg: ReachabilityGraph, weights: np.ndarray, depth: int) -> tuple[list, list[int]]:
+    """The sweeps that close a row and the sweep that holds each level.
+
+    A sweep is a run of consecutive levels. One gather reads every source
+    of a sweep before any of its targets is written, so its edges are the
+    cheapest (z, y, weight) over the paths into the run whose inner nodes
+    lie in the run, composed level by level. Parallel edges are kept once,
+    at their least weight. A run takes the next level while composing it
+    adds at most :data:`SWEEP_EDGES` edges. A cyclic graph keeps one sweep
+    per level, its edges uncomposed.
+    """
+    level, n = rg.level, rg.n
+    # One sort for the whole build: edges by target level, target, source,
+    # then weight (0 or the model-move cost), so the first of each (source,
+    # target) pair is the cheapest. The key stays under 2 n^3.
+    key = ((level[rg.dst].astype(np.int64) * n + rg.dst) * n + rg.src) * 2 + (weights > 0)
+    order = np.argsort(key)
+    src, dst, w = _cheapest(rg.src[order], rg.dst[order], weights[order])
+    ends = np.searchsorted(level[dst], np.arange(depth + 1)).tolist()
+    # Where each node's composed in-edges lie in the run's edges, while its level is in the run.
+    head, count = np.zeros(n, np.intp), np.zeros(n, np.intp)
+    sweeps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    sweep_at: list[int] = []
+    run = first = None  # the open sweep's (sources, targets, weights) and its first level
+    for k in range(depth):
+        edges = src[ends[k]:ends[k + 1]], dst[ends[k]:ends[k + 1]], w[ends[k]:ends[k + 1]]
+        composed = None if run is None or rg.cyclic else _compose(edges, level[edges[0]] >= first, head, count, run)
+        if composed is None:
+            if run is not None:
+                sweeps.append(run)
+            run, first = (src[:0], dst[:0], w[:0]), k
+        else:
+            edges = composed
+        targets = edges[1]
+        bounds = np.flatnonzero(np.concatenate(([targets.size > 0], targets[1:] != targets[:-1], [True])))
+        head[targets[bounds[:-1]]] = len(run[0]) + bounds[:-1]
+        count[targets[bounds[:-1]]] = bounds[1:] - bounds[:-1]
+        run = tuple(np.concatenate(pair) for pair in zip(run, edges))
+        sweep_at.append(len(sweeps))
+    sweeps.append(run)
+    return sweeps, sweep_at + [len(sweeps)]
+
+
+def _compose(edges: tuple, inner: np.ndarray, head: np.ndarray, count: np.ndarray, run: tuple) -> tuple | None:
+    """The level's edges (sorted by target) extended back through the run:
+    each edge from a node of the run (``inner``) also starts at every source
+    of that node's composed in-edges, with their weights added, and the
+    cheapest of parallel edges is kept. None when that would add more than
+    :data:`SWEEP_EDGES` edges."""
+    sources, targets, weights = edges
+    counts = np.where(inner, count[sources], 0)
+    total = int(counts.sum())
+    if not total:
+        return edges
+    if total > SWEEP_EDGES:
+        return None
+    picks = np.repeat(head[sources] - np.cumsum(counts) + counts, counts) + np.arange(total)
+    z = np.concatenate((sources, run[0][picks]))
+    y = np.concatenate((targets, np.repeat(targets, counts)))
+    wz = np.concatenate((weights, run[2][picks] + np.repeat(weights, counts)))
+    order = np.lexsort((wz, z, y))
+    return _cheapest(z[order], y[order], wz[order])
+
+
+def _cheapest(sources: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> tuple:
+    """The first edge of each run of equal (source, target) pairs."""
+    keep = np.ones(len(sources), bool)
+    keep[1:] = (sources[1:] != sources[:-1]) | (targets[1:] != targets[:-1])
+    return sources[keep], targets[keep], weights[keep]
 
 
 def _groups(keys: np.ndarray, count: int) -> list[np.ndarray]:
@@ -438,7 +527,7 @@ def _align(
     """The optimal alignment cost of an acyclic trace side against the model
     and its witness (None when ``witness`` is false); every search runs here,
     reading closed rows from ``memo`` where it can."""
-    pre, post = _forward(in_edges, moves, cost, memo)
+    pre, post = _forward(in_edges, moves, cost, witness, memo)
     if not witness:
         return int(post[-1, moves.rg.final]), None
     alignment = _witness(in_edges, pre, post, moves, cost)
@@ -446,7 +535,8 @@ def _align(
 
 
 def _forward(
-    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction, memo: _PrefixMemo | None = None
+    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction, witness: bool = True,
+    memo: _PrefixMemo | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cheapest product runs of an acyclic trace side and the model.
 
@@ -458,7 +548,8 @@ def _forward(
     model at v by a move that consumes b's in-edge; ``post[b, v]`` adds the
     model moves that follow.
     A node with one in-edge from a node whose one path from node 0 spells a
-    word spells that word plus its label, and takes ``post`` from ``memo``.
+    word spells that word plus its label, and takes ``post`` from ``memo``;
+    its ``pre``, which only the witness reads, is filled when ``witness``.
     """
     rg = moves.rg
     cells = len(in_edges) * rg.n
@@ -475,18 +566,21 @@ def _forward(
     # The stored memo prefix of each node with one path from node 0, else None.
     prefixes: list[_Prefix | None] = [None if memo is None else memo.root] + [None] * (len(in_edges) - 1)
     for b in range(1, len(in_edges)):
-        start = len(moves.levels)
-        for src, label, _ in in_edges[b]:
-            start = min(start, _transfer(pre[b], post[src], label, moves, log_cost))
+        src, label, _ = in_edges[b][0]
         if len(in_edges[b]) == 1 and prefixes[src] is not None:
             prefix = prefixes[src].child(label)
             post[b] = prefix.row
             # A prefix the memo did not store leads to no stored row; holding
             # its row until the end would add a third table.
             prefixes[b] = prefix if prefix.stored else None
-        else:
-            post[b] = pre[b]
-            moves.relax(post[b], start)
+            if witness:
+                _transfer(pre[b], post[src], label, moves, log_cost)
+            continue
+        start = moves.depth
+        for src, label, _ in in_edges[b]:
+            start = min(start, _transfer(pre[b], post[src], label, moves, log_cost))
+        post[b] = pre[b]
+        moves.relax(post[b], start)
     return pre, post
 
 
@@ -499,7 +593,7 @@ def _transfer(acc: np.ndarray, base: np.ndarray, label: str | None, moves: _Mode
     np.minimum(acc, base + (0.0 if label is None else log_cost), out=acc)
     sync = moves.sync.get(label)
     if sync is None:
-        return len(moves.levels)
+        return moves.depth
     sources, targets, level = sync
     np.minimum.at(acc, targets, base[sources])
     return level
@@ -613,38 +707,65 @@ def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[
 
     Each prefix carries its closed DP row from ``memo``, one
     :func:`_transfer` and relax from its parent's when the memo does not
-    hold it. Prefixes are taken in lexicographic order, and one
-    whose row a row kept earlier at the same walk node bounds from above is
-    dropped: the walk node fixes the completions, so each completion costs
-    at least as much after the earlier prefix and comes first in that order.
-    A prefix at a walk node without children has no completions to prune, so
-    its row is kept only while it is the maximum. Kept rows times model
-    states are capped by :data:`PRODUCT_CAP`.
+    hold it. A completion costs ``min_v (row[v] + A[v])`` for an A that the
+    walk node fixes, so it costs at most ``M + max(row - other)`` when an
+    earlier prefix with row ``other`` at the same walk node has completions
+    costing at most M. Prefixes are taken depth first in lexicographic
+    order, so that earlier subtree is finished, and its kept row records M:
+    the largest accepting value found below it or bound that pruned below
+    it. A prefix is dropped when that shifted bound is at most the best
+    cost so far, as each of its completions comes after the winner. Rows at
+    walk nodes without children are not kept. Kept rows times model states
+    are capped by :data:`PRODUCT_CAP`, and the cells compared with kept
+    rows by :data:`SCAN_CAP`.
     """
-    rg = memo.moves.rg
-    root = memo.root
-    kept: list[list[np.ndarray]] = [[] for _ in dag.children]
-    kept[0].append(root.row)
-    kept_rows = 1
-    best, winner = (root.row[rg.final], ()) if dag.accepting[0] else (-np.inf, None)
-    # Per entry: the parent prefix, the prefix spelled so far, its walk node.
-    stack = [(root, (symbol,), child) for symbol, child in reversed(dag.children[0])]
+    final, width = memo.moves.rg.final, memo.moves.rg.n
+    # Per walk node, its kept rows as [row, bound of its subtree so far].
+    kept: list[list[list]] = [[] for _ in dag.children]
+    root = [memo.root.row, memo.root.row[final] if dag.accepting[0] else -np.inf]
+    kept[0].append(root)
+    kept_rows, scanned = 1, 0
+    best, winner = (root[1], ()) if dag.accepting[0] else (-np.inf, None)
+    # Per entry: the parent prefix, the prefix spelled so far, its walk node,
+    # and the kept row whose bound takes the entry's. A None word marks the
+    # end of the subtree of the kept row given in place of the prefix.
+    stack = [(memo.root, (symbol,), child, root) for symbol, child in reversed(dag.children[0])]
     while stack:
-        parent, word, w = stack.pop()
+        parent, word, w, up = stack.pop()
+        if word is None:
+            up[1] = max(up[1], parent[1])
+            continue
         prefix = parent.child(word[-1])
         row = prefix.row
+        value = row[final] if dag.accepting[w] else -np.inf
         if dag.children[w]:
-            if any((other >= row).all() for other in kept[w]):
+            shifted = np.inf
+            for other, bound in kept[w]:
+                scanned += width
+                # Rows are finite: every model state is reachable, and a log move keeps each entry.
+                shifted = bound + (row - other).max()
+                if shifted <= best:
+                    break
+            if scanned > SCAN_CAP:
+                raise CapExceeded(
+                    f"upper-bound walk compared {scanned} cells of kept rows, over the scan cap ({SCAN_CAP})"
+                )
+            if shifted <= best:
+                up[1] = max(up[1], shifted)
                 continue
             kept_rows += 1
-            if kept_rows * rg.n > PRODUCT_CAP:
+            if kept_rows * width > PRODUCT_CAP:
                 raise CapExceeded(
-                    f"upper-bound walk keeps {kept_rows} rows x {rg.n} model states, over the product cap ({PRODUCT_CAP})"
+                    f"upper-bound walk keeps {kept_rows} rows x {width} model states, over the product cap ({PRODUCT_CAP})"
                 )
-            kept[w].append(row)
-            stack.extend((prefix, word + (label,), child) for label, child in reversed(dag.children[w]))
-        if dag.accepting[w] and row[rg.final] > best:
-            best, winner = row[rg.final], word
+            entry = [row, value]
+            kept[w].append(entry)
+            stack.append((entry, None, w, up))
+            stack.extend((prefix, word + (label,), child, entry) for label, child in reversed(dag.children[w]))
+        else:
+            up[1] = max(up[1], value)
+        if value > best:
+            best, winner = value, word
     return int(best), winner
 
 
@@ -657,11 +778,12 @@ def upper_bound(
     """Worst-case conformance cost over all realizations, with a witness.
 
     One walk over the trace's determinized lattice carries an alignment row
-    per prefix and drops the prefixes an earlier one dominates; the
-    realization cap (``caps``) is checked on the path count before it. The
-    walk finds the first realization attaining the maximum in lexicographic
-    order of activity sequences; the witness is that realization's optimal
-    alignment, from the same search as the lower bound's.
+    per prefix and drops a prefix when an earlier prefix's bound shows that
+    none of its completions costs more than the best found; the realization
+    cap (``caps``) is checked on the path count before it. The walk finds
+    the first realization attaining the maximum in lexicographic order of
+    activity sequences; the witness is that realization's optimal alignment,
+    from the same search as the lower bound's.
     """
     moves = _model_structures(model, cost)
     memo = _PrefixMemo(moves, cost)

@@ -5,9 +5,10 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from helpers import DATA_DIR, alignment_cost_by_language, models_and_traces, uncertain_traces
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from test_events import running_example
@@ -611,6 +612,60 @@ class TestReachabilityGraph:
             align.reachability_graph(sn)
 
 
+def closure_by_bellman_ford(moves, row):
+    """``row`` closed under the model's edges one edge at a time, in passes
+    until a pass changes nothing."""
+    rg = moves.rg
+    weights = [moves.weight(label) for label in rg.labels]
+    row = row.tolist()
+    edges = list(zip(rg.src.tolist(), rg.tr.tolist(), rg.dst.tolist()))
+    changed = True
+    while changed:
+        changed = False
+        for u, t, v in edges:
+            if row[u] + weights[t] < row[v]:
+                row[v] = row[u] + weights[t]
+                changed = True
+    return row
+
+
+class TestModelMoveSweeps:
+    """A relax makes one np.minimum.at per sweep, over edges composed through a run of levels."""
+
+    @pytest.mark.parametrize("size, seed", [(4, 0), (6, 2), (10, 2), (12, 0), (20, 0), (25, 1)])
+    @pytest.mark.parametrize("costs", [(1, 1), (2, 3), (1, 0)])
+    def test_relax_from_every_level_is_the_edge_closure(self, size, seed, costs):
+        model = random_block_net(size, f"sweep{seed}")
+        moves = align._model_structures(model, CostFunction(*costs))
+        rg = moves.rg
+        assert not moves.cyclic
+        # Some sweep holds several levels, so some starts lie inside a sweep.
+        assert len(moves.sweeps) < moves.depth
+        rng = np.random.default_rng(seed)
+        assert moves.initial_row.tolist() == closure_by_bellman_ford(moves, moves.initial_row)
+        for start in range(moves.depth + 1):
+            row = rng.integers(0, 2 * moves.depth, rg.n).astype(float)
+            row[rng.random(rg.n) < 0.3] = np.inf
+            # Every edge into a level before ``start`` is tight: those levels hold closed values.
+            below = rg.level < start
+            row[below] = np.array(closure_by_bellman_ford(moves, row))[below]
+            relaxed = row.copy()
+            moves.relax(relaxed, start)
+            assert relaxed.tolist() == closure_by_bellman_ford(moves, row), start
+
+    @pytest.mark.parametrize("name", sorted(CYCLIC_MODELS))
+    def test_cyclic_models_keep_one_sweep_per_level(self, name):
+        moves = align._model_structures(_cyclic_net(*CYCLIC_MODELS[name]), CostFunction(1, 2))
+        assert moves.cyclic and len(moves.sweeps) == moves.depth
+        rng = np.random.default_rng(len(name))
+        for _ in range(20):
+            row = rng.integers(0, 6, moves.rg.n).astype(float)
+            row[rng.random(moves.rg.n) < 0.3] = np.inf
+            relaxed = row.copy()
+            moves.relax(relaxed)
+            assert relaxed.tolist() == closure_by_bellman_ford(moves, row)
+
+
 class TestMemory:
     def test_model_structures_stay_far_below_a_dense_state_matrix(self):
         model = random_block_net(30, "probe|30|2")
@@ -710,6 +765,33 @@ class TestUpperBoundWalk:
         assert report.upper_witness is report.lower_witness
         assert report.upper_cost == report.lower_cost == upper_bound(trace, model)[0] == 4
         assert upper_bound(trace, model)[1] == report.lower_witness
+
+    @given(models_and_traces(max_events=6, max_transitions=8), st.sampled_from([(1, 1), (2, 1), (1, 3)]))
+    @settings(max_examples=120, deadline=None)
+    def test_pruned_walk_finds_the_first_maximum(self, model_and_trace, costs):
+        model, trace = model_and_trace
+        cost = CostFunction(*costs)
+        prefixes = {word[:k] for word in realizations(trace) for k in range(1, len(word) + 1)}
+        visited = []
+        real = align._Prefix.child
+        memo = align._PrefixMemo(align._model_structures(model, cost), cost)
+        with mock.patch.object(align._Prefix, "child", lambda self, label: visited.append(label) or real(self, label)):
+            found = align._costliest_realization(events.realization_dag(trace), memo)
+        # Only instances where the walk drops some prefix, with its subtree.
+        assume(len(visited) < len(prefixes))
+        expected = first_costliest(trace, model, cost)
+        assert found == (expected.cost, expected.log_projection())
+
+    def test_scan_is_capped(self, monkeypatch):
+        trace = UncertainTrace("w", tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 9) for i in range(3)))
+        model = event_net(["a", "b"])  # 3 states
+        # The walk compares 4 rows with kept rows: 12 cells.
+        monkeypatch.setattr(align, "SCAN_CAP", 12)
+        assert upper_bound(trace, model)[0] == 3
+        monkeypatch.setattr(align, "SCAN_CAP", 11)
+        report = log_bounds(UncertainLog((trace,)), model).reports[0]
+        assert (report.lower_cost, report.upper_cost, report.realization_count) == (1, None, None)
+        assert report.error == "upper-bound walk compared 12 cells of kept rows, over the scan cap (11)"
 
     def test_kept_rows_are_capped(self, monkeypatch):
         trace = UncertainTrace("w", tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 9) for i in range(3)))

@@ -223,6 +223,13 @@ class TestBounds:
         by_case = {r["case_id"]: r for r in rows}
         assert by_case["table6"]["upper_cost"] == by_case["table7"]["upper_cost"] == "capped"
 
+    def test_scan_cap_marks_rows_and_exits_2(self, capsys, monkeypatch):
+        # table6's walk compares 752 cells with kept rows, table7's 20,868.
+        monkeypatch.setattr(align, "SCAN_CAP", 752)
+        code = main(["bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(DATA_DIR / "icu_net.json")])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines()[1:] == ["table6,0,2,10", "table7,0,capped,capped", "total,0,2,"]
+
     def test_state_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(events, "STATE_CAP", 50)  # the ICU model has 94 states
         code = main(["bounds", "--log", str(DATA_DIR / "icu_log.json"), "--net", str(DATA_DIR / "icu_net.json")])
