@@ -11,8 +11,9 @@ in-edge, ``post`` after the model moves that follow. This is a uniform-cost
 search in disguise: no heuristic, exact costs.
 
 The model's reachable markings are explored breadth-first as int32 rows of
-token counts, one layer at a time, and the graph is kept in flat arrays
-(:class:`ReachabilityGraph`); no ``Marking`` is built on this path.
+token counts, one layer at a time, each held once, as a key of the dict
+that numbers them; the graph is kept in flat arrays
+(:class:`ReachabilityGraph`), and no ``Marking`` is built on this path.
 Model moves are relaxed over the model graph's edges, filed under the
 longest-path level of their target. Consecutive levels form sweeps, and one
 ``np.minimum.at`` per sweep, in level order, closes a row: a sweep's edges
@@ -51,9 +52,10 @@ from it, and a prefix is relaxed once per call, whichever search spells it
 first. :func:`log_bounds` shares one trie across its traces.
 Memory is linear in the model's edges plus the two tables or the kept rows,
 which :data:`PRODUCT_CAP` bounds, plus the trie, which stops storing rows
-at :data:`MEMO_CELLS` cells; :data:`events.STATE_CAP` bounds the model's
-states, each lattice and each walk DAG, and :data:`SCAN_CAP` the walk's
-comparisons with kept rows.
+at :data:`MEMO_CELLS` cells; set-up adds the markings, freed once the graph
+is built. :data:`events.STATE_CAP` bounds the model's states, each lattice
+and each walk DAG, :data:`events.EDGE_CAP` each lattice's edges, and
+:data:`SCAN_CAP` the walk's comparisons with kept rows.
 """
 from __future__ import annotations
 
@@ -62,6 +64,7 @@ import threading
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -170,7 +173,7 @@ class Alignment:
 
 
 #: Frontier rows a :class:`ReachabilityGraph` expands at once; bounds its temporaries.
-_SLICE = 1024
+_SLICE = 256
 
 #: Most tokens the initial or final marking may put on one place. A firing adds
 #: at most one token to a place, and the search stops at :data:`events.STATE_CAP`
@@ -181,15 +184,19 @@ TOKEN_LIMIT = 2**30
 class ReachabilityGraph:
     """Reachable-marking graph of a system net, numbered in breadth-first order.
 
-    Markings are int32 rows of token counts over the sorted places. The search
-    expands one layer at a time: the layer's enabled (node, transition) pairs
-    are taken node-major, transition-minor, and each new row is numbered in
-    that order, as a FIFO search would. Edges are three flat arrays listed by
-    source: ``src``, ``tr`` (an index into ``transitions`` and ``labels``) and
-    ``dst``; :meth:`in_edges` reads one node's in-edges from a copy sorted by
-    target. ``level`` is each node's longest-path level, found by peeling
-    nodes without in-edges; a graph that does not peel is ``cyclic`` and takes
-    its breadth-first depth instead.
+    Markings are int32 rows of token counts over the sorted places, held
+    only as the byte keys of the dict that numbers them, and only while the
+    search runs. The search expands one layer at a time, from the layer's
+    keys, the newest in the dict, read back :data:`_SLICE` rows at a time:
+    the enabled (node, transition) pairs are taken node-major,
+    transition-minor, and each new row is numbered in that order, as a FIFO
+    search would. Edges are three flat arrays listed by source: ``src``,
+    ``tr`` (an index into ``transitions`` and ``labels``) and ``dst``;
+    :meth:`in_edges` reads one node's in-edges from a copy sorted by target,
+    made on its first call (only witnesses read them). ``level`` is each
+    node's longest-path level, found by peeling nodes without in-edges; a
+    graph that does not peel is ``cyclic`` and takes its breadth-first depth
+    instead.
     """
 
     def __init__(self, sn: SystemNet):
@@ -220,48 +227,47 @@ class ReachabilityGraph:
                 counts[column[p]] = c
             return counts
 
-        rows = row("initial", sn.initial_marking)[None, :]
-        index = {rows[0].tobytes(): 0}
-        width = rows.itemsize * len(column)
+        index = {row("initial", sn.initial_marking).tobytes(): 0}
+        width = 4 * len(column)  # bytes per key
         src, tr, dst, depth = [], [], [], []
         done = 0
         while done < len(index):
             layer = len(index)
             depth.append(layer - done)
-            for lo in range(done, layer, _SLICE):
-                block = rows[lo:min(lo + _SLICE, layer)]
+            frontier = list(islice(reversed(index), layer - done))[::-1]
+            for lo in range(0, len(frontier), _SLICE):
+                keys = frontier[lo:lo + _SLICE]
+                block = np.frombuffer(b"".join(keys), np.int32).reshape(len(keys), len(column))
                 marked = np.ones((len(block), len(column) + 1), bool)
                 np.greater(block, 0, out=marked[:, :-1])
                 enabled = np.ones((len(block), len(inputs)), bool)
                 for places in inputs.T:
                     enabled &= marked[:, places]
                 fi, ti = enabled.nonzero()
-                succ = block.take(fi, 0) + delta.take(ti, 0)
+                succ = block.take(fi, 0)
+                succ += delta.take(ti, 0)
                 buf = succ.tobytes()
+                del succ
                 # A row not seen before takes the next number.
-                targets = [index.setdefault(buf[k:k + width], len(index)) for k in range(0, len(buf), width)]
+                dst.extend([index.setdefault(buf[k:k + width], len(index)) for k in range(0, len(buf), width)])
                 # Checked once per slice, so at most one slice's rows pass the cap.
                 if len(index) > events.STATE_CAP:
                     raise CapExceeded(f"reachability exploration exceeded the state cap ({events.STATE_CAP})")
-                if len(index) > len(rows):
-                    grown = np.empty((max(2 * len(rows), len(index)), len(column)), np.int32)
-                    grown[:len(rows)] = rows
-                    rows = grown
-                rows[targets] = succ  # rows found before are rewritten with the same counts
-                src.append(fi + lo)
+                fi += done + lo
+                src.append(fi)
                 tr.append(ti)
-                dst.extend(targets)
             done = layer
 
-        self.src, self.tr = np.concatenate(src), np.concatenate(tr)
-        self.dst = np.array(dst, np.intp)
         self.n = len(index)
         self.initial = 0
         self.final: int | None = index.get(row("final", sn.final_marking).tobytes())
-        # In-edges by target: a stable sort keeps each target's edges by source, then transition.
-        order = np.argsort(self.dst, kind="stable")
-        self._in_end = np.searchsorted(self.dst[order], np.arange(self.n + 1)).tolist()
-        self._in_src, self._in_tr = self.src[order].tolist(), self.tr[order].tolist()
+        del index, frontier
+        self.src, self.tr = np.concatenate(src), np.concatenate(tr)
+        self.dst = np.array(dst, np.intp)
+        # In-edges by target, built on the first in_edges() call.
+        self._in_end: list[int] | None = None
+        self._in_src: list[int] = []
+        self._in_tr: list[int] = []
         level = self._peel()
         self.cyclic = level is None
         self.level = np.repeat(np.arange(len(depth)), depth) if level is None else level
@@ -289,6 +295,13 @@ class ReachabilityGraph:
     def in_edges(self, v: int) -> Iterator[tuple[int, int]]:
         """(source node, transition index) of each edge into ``v``, by source
         node, then transition id."""
+        if self._in_end is None:
+            # A stable sort keeps each target's edges by source, then transition.
+            # Threads that race here build equal lists, and ``_in_end`` is set
+            # last, so a reader that sees it sees the other two.
+            order = np.argsort(self.dst, kind="stable")
+            self._in_src, self._in_tr = self.src[order].tolist(), self.tr[order].tolist()
+            self._in_end = np.searchsorted(self.dst[order], np.arange(self.n + 1)).tolist()
         a, b = self._in_end[v], self._in_end[v + 1]
         return zip(self._in_src[a:b], self._in_tr[a:b])
 
@@ -307,14 +320,12 @@ class _ModelMoves:
         self.rg = rg
         self.model_cost = float(cost.model_move)
         self.cyclic = rg.cyclic
-        target_level = rg.level[rg.dst]
-        weights = np.array([self.weight(label) for label in rg.labels])[rg.tr]
         self.depth = int(rg.level.max()) + 1
-        self.sweeps, self.sweep_at = _sweeps(rg, weights, self.depth)
+        self.sweeps, self.sweep_at = _sweeps(rg, self.model_cost, self.depth)
         names = sorted({label for label in rg.labels if label is not None})
         code = np.array([-1 if label is None else names.index(label) for label in rg.labels], np.intp)
         self.sync: dict[str, tuple[np.ndarray, np.ndarray, int]] = {
-            label: (rg.src[k], rg.dst[k], 0 if self.cyclic else int(target_level[k].min()) + 1)
+            label: (rg.src[k], rg.dst[k], 0 if self.cyclic else int(rg.level[rg.dst[k]].min()) + 1)
             for label, k in zip(names, _groups(code[rg.tr] + 1, len(names) + 1)[1:])
             if k.size
         }
@@ -370,24 +381,34 @@ class _ModelMoves:
 SWEEP_EDGES = 256
 
 
-def _sweeps(rg: ReachabilityGraph, weights: np.ndarray, depth: int) -> tuple[list, list[int]]:
+def _sweeps(rg: ReachabilityGraph, cost: float, depth: int) -> tuple[list, list[int]]:
     """The sweeps that close a row and the sweep that holds each level.
 
     A sweep is a run of consecutive levels. One gather reads every source
     of a sweep before any of its targets is written, so its edges are the
     cheapest (z, y, weight) over the paths into the run whose inner nodes
-    lie in the run, composed level by level. Parallel edges are kept once,
-    at their least weight. A run takes the next level while composing it
-    adds at most :data:`SWEEP_EDGES` edges. A cyclic graph keeps one sweep
-    per level, its edges uncomposed.
+    lie in the run, composed level by level; an edge weighs ``cost`` when
+    its transition is labelled, else 0. Parallel edges are kept once, at
+    their least weight. A run takes the next level while composing it adds
+    at most :data:`SWEEP_EDGES` edges. A cyclic graph keeps one sweep per
+    level, its edges uncomposed.
     """
     level, n = rg.level, rg.n
     # One sort for the whole build: edges by target level, target, source,
-    # then weight (0 or the model-move cost), so the first of each (source,
-    # target) pair is the cheapest. The key stays under 2 n^3.
-    key = ((level[rg.dst].astype(np.int64) * n + rg.dst) * n + rg.src) * 2 + (weights > 0)
-    order = np.argsort(key)
-    src, dst, w = _cheapest(rg.src[order], rg.dst[order], weights[order])
+    # then weight (0 or ``cost``), so the first of each (source, target)
+    # pair is the cheapest. The key stays under 2 n^3, and the kept edges
+    # are decoded from it.
+    key = ((level[rg.dst].astype(np.int64) * n + rg.dst) * n + rg.src) * 2
+    if cost:
+        key += np.array([label is not None for label in rg.labels])[rg.tr]
+    key.sort()
+    pair = key >> 1  # (target level, target, source)
+    keep = np.ones(len(key), bool)
+    np.not_equal(pair[1:], pair[:-1], out=keep[1:])
+    pair, w = pair[keep], (key[keep] & 1) * cost
+    del key, keep
+    src, dst = pair % n, pair // n % n
+    del pair
     ends = np.searchsorted(level[dst], np.arange(depth + 1)).tolist()
     # Where each node's composed in-edges lie in the run's edges, while its level is in the run.
     head, count = np.zeros(n, np.intp), np.zeros(n, np.intp)

@@ -9,8 +9,9 @@ only their total order matters here.
 graph (:func:`behavior.behavior_graph`) and every lattice read it as
 per-event predecessor bitmasks. A trace's state space is the lattice of
 order ideals of that order (:func:`trace_lattice`): the reachability graph
-of its behavior net, built without the net and capped by :data:`STATE_CAP`,
-from :func:`lattice_key`, which traces of equal shape share.
+of its behavior net, built without the net and capped by :data:`STATE_CAP`
+and :data:`EDGE_CAP`, from :func:`lattice_key`, which traces of equal shape
+share.
 The lower bound searches it. :func:`word_dag` determinizes it (a subset
 construction, also capped by :data:`STATE_CAP`): its paths spell the
 distinct words of the linear extensions, its path counts count them without
@@ -36,6 +37,11 @@ CAP_ENV_VAR = "UNCERTAIN_CONFORM_CAP"
 #: States explored per model, and order ideals per lattice, before giving up
 #: (guards unbounded nets and wide traces). Read at call time.
 STATE_CAP = 200_000
+
+#: Edges per lattice of order ideals before giving up (guards wide traces
+#: under the state cap). An edge takes about 80 B as a tuple in a list, so
+#: the cap holds a lattice to about 80 MB. Read at call time.
+EDGE_CAP = 1_000_000
 
 #: A lattice of order ideals by its out-edges: per node, (element, symbol, target).
 Lattice = list[list[tuple[int, str | None, int]]]
@@ -169,9 +175,7 @@ def precedes(e: UncertainEvent, e2: UncertainEvent) -> bool:
     return e.t_max < e2.t_min
 
 
-def order_ideals(
-    preds: Sequence[int], steps: Sequence[tuple[int, str | None]], cap: int, cap_message: str
-) -> Lattice:
+def order_ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], cap: int, owner: str) -> Lattice:
     """Out-edges of the lattice of order ideals of a strict partial order.
 
     Element i may be placed once every element of the bitmask ``preds[i]`` is;
@@ -179,13 +183,14 @@ def order_ideals(
     Nodes are the placed-element bitmasks, numbered breadth-first from the
     empty ideal; node v's out-edges are (element, symbol, target) in the order
     of ``steps``. Every edge places one element, so the numbering is
-    topological and the full ideal comes last. More than ``cap`` nodes raise
-    CapExceeded with ``cap_message``.
+    topological and the full ideal comes last. More than ``cap`` nodes, or
+    more than :data:`EDGE_CAP` edges, raise CapExceeded naming ``owner``.
     """
     moves = [(1 << i, preds[i], i, symbol) for i, symbol in steps]
     index = {0: 0}
     masks = [0]
     out: Lattice = []
+    size = 0
     for placed in masks:  # a BFS queue: the loop reaches the masks appended in it
         edges = []
         for bit, p, i, symbol in moves:
@@ -193,17 +198,23 @@ def order_ideals(
                 continue
             if (nxt := placed | bit) not in index:
                 if len(masks) >= cap:
-                    raise CapExceeded(cap_message)
+                    raise CapExceeded(f"{owner} has more order ideals than the state cap ({cap})")
                 index[nxt] = len(masks)
                 masks.append(nxt)
             edges.append((i, symbol, index[nxt]))
         out.append(edges)
+        size += len(edges)
+        if size > EDGE_CAP:
+            raise CapExceeded(
+                f"{owner} has more lattice edges than the edge cap ({EDGE_CAP}):"
+                f" {size} edges from {len(out)} of the {len(masks)} order ideals found"
+            )
     return out
 
 
 def _ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], owner: str) -> Lattice:
     """:func:`order_ideals` under :data:`STATE_CAP`; the error names ``owner``."""
-    return order_ideals(preds, steps, STATE_CAP, f"{owner} has more order ideals than the state cap ({STATE_CAP})")
+    return order_ideals(preds, steps, STATE_CAP, owner)
 
 
 @dataclass(frozen=True)

@@ -526,6 +526,11 @@ def assert_matches_reference(sn: SystemNet) -> None:
     for src, t, dst in zip(rg.src.tolist(), rg.tr.tolist(), rg.dst.tolist()):
         edges[src].append((rg.transitions[t], rg.labels[t], dst))
     assert (rg.n, edges, rg.final) == (n, out, final)
+    into = [[] for _ in range(n)]
+    for src, out_edges in enumerate(out):
+        for t, _, dst in out_edges:
+            into[dst].append((src, t))
+    assert [[(u, rg.transitions[t]) for u, t in rg.in_edges(v)] for v in range(rg.n)] == [sorted(e) for e in into]
     assert rg.cyclic == (level is None)
     if level is not None:
         assert rg.level.tolist() == level
@@ -548,6 +553,15 @@ def small_nets(draw):
 
 
 BENCH_INPUTS = Path(__file__).parent.parent / "bench" / "inputs"
+
+#: (net file, states, final state) of the committed nets.
+FIXTURE_NETS = [
+    (DATA_DIR / "icu_net.json", 94, 91),
+    (BENCH_INPUTS / "small.net.json", 30, 1),
+    (BENCH_INPUTS / "wide.net.json", 708, 15),
+    (BENCH_INPUTS / "large.net.json", 5182, 1266),
+]
+FIXTURE_IDS = ["icu", "small", "wide", "large"]
 
 
 class TestReachabilityGraph:
@@ -593,17 +607,18 @@ class TestReachabilityGraph:
         rg = align.reachability_graph(sn)
         assert sorted(zip(rg.src.tolist(), rg.tr.tolist(), rg.dst.tolist())) == [(0, 0, 1), (0, 1, 0), (1, 1, 1)]
 
-    @pytest.mark.parametrize("path, states, final", [
-        (DATA_DIR / "icu_net.json", 94, 91),
-        (BENCH_INPUTS / "small.net.json", 30, 1),
-        (BENCH_INPUTS / "wide.net.json", 708, 15),
-        (BENCH_INPUTS / "large.net.json", 5182, 1266),
-    ], ids=["icu", "small", "wide", "large"])
+    @pytest.mark.parametrize("path, states, final", FIXTURE_NETS, ids=FIXTURE_IDS)
     def test_fixture_nets(self, path, states, final):
         sn = load_net(path)
         assert_matches_reference(sn)
         rg = align.reachability_graph(sn)
         assert (rg.n, rg.final, rg.cyclic) == (states, final, False)
+
+    @pytest.mark.parametrize("path, states, final", FIXTURE_NETS, ids=FIXTURE_IDS)
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_layers_spanning_several_slices(self, monkeypatch, path, states, final, size):
+        monkeypatch.setattr(align, "_SLICE", size)
+        assert_matches_reference(load_net(path))
 
     def test_huge_initial_count_rejected(self):
         net = PetriNet(["p0", "p1"], ["a"], [("p0", "a"), ("a", "p1")], {"a": "a"})
@@ -667,21 +682,37 @@ class TestModelMoveSweeps:
 
 
 class TestMemory:
-    def test_model_structures_stay_far_below_a_dense_state_matrix(self):
+    def test_prepare_model_holds_each_marking_once(self):
         model = random_block_net(30, "probe|30|2")
         labels = sorted(model.net.labels.values())
         trace = UncertainTrace("c", tuple(certain_event(f"e{i}", labels[i], i) for i in range(4)))
         tracemalloc.start()
         try:
             prepare_model(model)
+            _, setup = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             lower_bound(trace, model)
             upper_bound(trace, model)
-            _, peak = tracemalloc.get_traced_memory()
+            _, search = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        states = align.reachability_graph(model).n
-        assert states == 5182
-        assert peak < states * states * 8 / 4
+        assert align.reachability_graph(model).n == 5182
+        # The markings as dict keys (about 1.3 MB), one slice's successors,
+        # the edge arrays and the sweeps; a second copy of the markings and
+        # prebuilt in-edge lists took set-up to 6.2 MiB.
+        assert setup < 4 * 2**20
+        # The witnesses' in-edge lists (about 1.2 MB) and the tables.
+        assert search < 4 * 2**20
+
+    def test_costs_alone_leave_the_in_edges_unbuilt(self):
+        model = event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"])
+        log = UncertainLog((running_example(),))
+        bare = log_bounds(log, model, witnesses=False)
+        rg = align.reachability_graph(model)
+        assert rg._in_end is None
+        full = log_bounds(log, model)
+        assert rg._in_end is not None
+        assert bare.reports == tuple(dataclasses.replace(r, lower_witness=None, upper_witness=None) for r in full.reports)
 
     @pytest.mark.parametrize("budget", [0, 2**16])
     def test_prefix_memo_adds_at_most_its_budget(self, monkeypatch, budget):

@@ -1,5 +1,6 @@
 """Uncertain event model: precedence, realizations, caps, validation."""
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -211,8 +212,10 @@ class TestWalkCaps:
     realization cap is read off its path counts, before any listing."""
 
     def test_wide_antichain_rejected_by_path_count(self, monkeypatch):
-        # 16 overlapping events with 3 labels: 2^16 ideals, 3^16 realizations.
+        # 16 overlapping events with 3 labels: 2^16 ideals, 3^16 realizations,
+        # and 1,572,864 lattice edges, over the edge cap (TestEdgeCap).
         trace = UncertainTrace("anti", tuple(UncertainEvent(f"e{i:02}", frozenset("abc"), 0, 9) for i in range(16)))
+        monkeypatch.setattr(events, "EDGE_CAP", 3 * 16 * 2**15)
         lattice = events.trace_lattice(trace)
         monkeypatch.setattr(events, "linear_words", None)  # a listing would fail
         with pytest.raises(CapExceeded, match=r"trace 'anti' exceeds the realization cap \(100000\)"):
@@ -230,6 +233,37 @@ class TestWalkCaps:
         assert len(events.trace_lattice(trace)) == 4
         with pytest.raises(CapExceeded, match=r"case 'two': trace 'two' has more walk nodes than the state cap \(4\)"):
             count_realizations(UncertainLog((trace,)))
+
+
+class TestEdgeCap:
+    """Every lattice of order ideals is capped by its edges as well as its ideals."""
+
+    WIDE = TestStateCap.WIDE  # 16 ideals, 32 edges
+
+    def test_lattice_at_the_cap_fits(self, monkeypatch):
+        monkeypatch.setattr(events, "EDGE_CAP", 32)
+        assert sum(map(len, events.trace_lattice(self.WIDE))) == 32
+        monkeypatch.setattr(events, "EDGE_CAP", 31)
+        with pytest.raises(CapExceeded, match=r"trace 'wide' has more lattice edges than the edge cap \(31\): 32 edges"):
+            events.trace_lattice(self.WIDE)
+        with pytest.raises(CapExceeded, match=r"case 'wide'.*edge cap \(31\)"):
+            count_realizations(UncertainLog((self.WIDE,)))
+        with pytest.raises(CapExceeded, match=r"graph has more lattice edges than the edge cap \(31\)"):
+            topological_sortings(behavior_graph(self.WIDE))
+
+    def test_wide_antichain_stops_early(self):
+        # 17 overlapping events with 3 labels: 2^17 ideals and 3,342,336 edges,
+        # which took about 258 MB as lists of tuples.
+        trace = UncertainTrace("anti", tuple(UncertainEvent(f"e{i:02}", frozenset("abc"), 0, 9) for i in range(17)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=r"trace 'anti' has more lattice edges than the edge cap \(1000000\):"
+                                                  r" \d+ edges from \d+ of the \d+ order ideals found"):
+                events.trace_lattice(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestValidation:
