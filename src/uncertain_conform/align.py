@@ -38,12 +38,15 @@ from its parent's. An earlier prefix's row at the same walk node, shifted
 up by the most the new row exceeds it, bounds the new prefix's completions
 by its own finished subtree's; a prefix whose bound cannot beat the best
 cost found is dropped, as in the antichain algorithms with simulation for
-automata.
+automata. Shifted down by the least the new row exceeds it, the same row
+gives a floor under the dropped completions, so the walk also proves the
+least cost whenever its floors meet the least cost it visited.
 The walk finds the first costliest word; its witness is that word's optimal
 alignment, from the same search as the lower bound's, over a chain. The
 realization count is the walk DAG's path count. :func:`log_bounds` builds
-each trace's lattice once for both, and aligns traces of equal shape
-(:func:`events.lattice_key`) once per call.
+each trace's lattice once for both, aligns traces of equal shape
+(:func:`events.lattice_key`) once per call, and without witnesses searches
+the lattice only for chains and for shapes whose walk proves no least cost.
 
 A closed row depends only on the word that reaches it, so one call keeps a
 trie of closed rows keyed by word prefix (:class:`_PrefixMemo`): the walk,
@@ -573,12 +576,7 @@ def _forward(
     its ``pre``, which only the witness reads, is filled when ``witness``.
     """
     rg = moves.rg
-    cells = len(in_edges) * rg.n
-    if cells > PRODUCT_CAP:
-        raise CapExceeded(
-            f"alignment needs {cells} product cells ({len(in_edges)} trace states x {rg.n} model states),"
-            f" over the product cap ({PRODUCT_CAP})"
-        )
+    _check_cells(len(in_edges), rg)
     log_cost = float(cost.log_move)
     pre = np.full((len(in_edges), rg.n), np.inf)
     post = np.empty_like(pre)
@@ -603,6 +601,16 @@ def _forward(
         post[b] = pre[b]
         moves.relax(post[b], start)
     return pre, post
+
+
+def _check_cells(nodes: int, rg: ReachabilityGraph) -> None:
+    """Raise unless a search over ``nodes`` trace-side states fits :data:`PRODUCT_CAP`."""
+    cells = nodes * rg.n
+    if cells > PRODUCT_CAP:
+        raise CapExceeded(
+            f"alignment needs {cells} product cells ({nodes} trace states x {rg.n} model states),"
+            f" over the product cap ({PRODUCT_CAP})"
+        )
 
 
 def _transfer(acc: np.ndarray, base: np.ndarray, label: str | None, moves: _ModelMoves, log_cost: float) -> int:
@@ -722,49 +730,58 @@ def lower_bound_bruteforce(
     return min(_align(_chain(seq), moves, cost, witness=False)[0] for seq in iter_realizations(trace, caps))
 
 
-def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[str, ...]]:
-    """The cost of the first costliest realization in lexicographic order and
-    the realization: one walk over ``dag``, the trace's determinized lattice.
+def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[str, ...], int | None]:
+    """The cost of the first costliest realization in lexicographic order, the
+    realization, and the least cost when the walk proves it (else None): one
+    walk over ``dag``, the trace's determinized lattice.
 
     Each prefix carries its closed DP row from ``memo``, one
     :func:`_transfer` and relax from its parent's when the memo does not
     hold it. A completion costs ``min_v (row[v] + A[v])`` for an A that the
-    walk node fixes, so it costs at most ``M + max(row - other)`` when an
-    earlier prefix with row ``other`` at the same walk node has completions
-    costing at most M. Prefixes are taken depth first in lexicographic
-    order, so that earlier subtree is finished, and its kept row records M:
-    the largest accepting value found below it or bound that pruned below
-    it. A prefix is dropped when that shifted bound is at most the best
-    cost so far, as each of its completions comes after the winner. Rows at
-    walk nodes without children are not kept. Kept rows times model states
-    are capped by :data:`PRODUCT_CAP`, and the cells compared with kept
-    rows by :data:`SCAN_CAP`.
+    walk node fixes, so it costs at most ``M + max(row - other)`` and at
+    least ``m + min(row - other)`` when an earlier prefix with row ``other``
+    at the same walk node has completions costing at most M and at least m.
+    Prefixes are taken depth first in lexicographic order, so that earlier
+    subtree is finished, and its kept row records M and m: the largest and
+    the least accepting value found below it, or bound of a prefix dropped
+    below it. A prefix is dropped when its shifted M is at most the best
+    cost so far, as each of its completions comes after the winner. The
+    root's m is then at most every realization's cost, and when it equals
+    the least accepting value the walk visited, that value is the least
+    cost. Rows at walk nodes without children are not kept. Kept rows times
+    model states are capped by :data:`PRODUCT_CAP`, and the cells compared
+    with kept rows by :data:`SCAN_CAP`.
     """
     final, width = memo.moves.rg.final, memo.moves.rg.n
-    # Per walk node, its kept rows as [row, bound of its subtree so far].
+    # Per walk node, its kept rows as [row, most and least cost of its subtree so far].
     kept: list[list[list]] = [[] for _ in dag.children]
-    root = [memo.root.row, memo.root.row[final] if dag.accepting[0] else -np.inf]
+    value = memo.root.row[final] if dag.accepting[0] else None
+    root = [memo.root.row, -np.inf, np.inf] if value is None else [memo.root.row, value, value]
     kept[0].append(root)
     kept_rows, scanned = 1, 0
-    best, winner = (root[1], ()) if dag.accepting[0] else (-np.inf, None)
+    best, winner = (-np.inf, None) if value is None else (value, ())
+    least = root[2]
     # Per entry: the parent prefix, the prefix spelled so far, its walk node,
-    # and the kept row whose bound takes the entry's. A None word marks the
+    # and the kept row whose bounds take the entry's. A None word marks the
     # end of the subtree of the kept row given in place of the prefix.
     stack = [(memo.root, (symbol,), child, root) for symbol, child in reversed(dag.children[0])]
     while stack:
         parent, word, w, up = stack.pop()
         if word is None:
             up[1] = max(up[1], parent[1])
+            up[2] = min(up[2], parent[2])
             continue
         prefix = parent.child(word[-1])
         row = prefix.row
-        value = row[final] if dag.accepting[w] else -np.inf
+        value = row[final] if dag.accepting[w] else None
+        if value is not None:
+            least = min(least, value)
         if dag.children[w]:
             shifted = np.inf
-            for other, bound in kept[w]:
+            for other in kept[w]:
                 scanned += width
                 # Rows are finite: every model state is reachable, and a log move keeps each entry.
-                shifted = bound + (row - other).max()
+                shifted = other[1] + (row - other[0]).max()
                 if shifted <= best:
                     break
             if scanned > SCAN_CAP:
@@ -773,21 +790,24 @@ def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[
                 )
             if shifted <= best:
                 up[1] = max(up[1], shifted)
+                up[2] = min(up[2], other[2] + (row - other[0]).min())
                 continue
             kept_rows += 1
             if kept_rows * width > PRODUCT_CAP:
                 raise CapExceeded(
                     f"upper-bound walk keeps {kept_rows} rows x {width} model states, over the product cap ({PRODUCT_CAP})"
                 )
-            entry = [row, value]
+            entry = [row, -np.inf, np.inf] if value is None else [row, value, value]
             kept[w].append(entry)
             stack.append((entry, None, w, up))
             stack.extend((prefix, word + (label,), child, entry) for label, child in reversed(dag.children[w]))
         else:
+            # A walk node without children holds the full ideal.
             up[1] = max(up[1], value)
-        if value > best:
+            up[2] = min(up[2], value)
+        if value is not None and value > best:
             best, winner = value, word
-    return int(best), winner
+    return int(best), winner, int(least) if root[2] == least else None
 
 
 def upper_bound(
@@ -808,7 +828,7 @@ def upper_bound(
     """
     moves = _model_structures(model, cost)
     memo = _PrefixMemo(moves, cost)
-    _, word = _costliest_realization(realization_dag(trace, caps), memo)
+    _, word, _ = _costliest_realization(realization_dag(trace, caps), memo)
     return _align(_chain(word), moves, cost, memo=memo)
 
 
@@ -870,6 +890,14 @@ def log_bounds(
     neither. With ``witnesses`` false, no witness is built and every report
     carries None for both; the costs and counts are the same.
 
+    With witnesses, the lattice search gives the lower bound and its
+    witness, and the upper-bound walk runs after it. Without them, a
+    branching lattice runs the walk first and takes the least cost it
+    proves (:func:`_costliest_realization`); the lattice search runs only
+    when the walk proves none, or when the walk or its DAG caps, so that
+    the capped row still reports its lower bound. The search's product cap
+    is checked either way, so the same rows cap on both routes.
+
     Traces of equal shape are aligned once per call. The bounds, both
     witnesses and the count read only the model and the trace's lattice,
     which its :func:`events.lattice_key` fixes node for node and edge for
@@ -887,24 +915,37 @@ def log_bounds(
     total_upper = 0
     for trace in log:
         key = lattice_key(trace)
-        if key not in shapes:
+        shape = shapes.get(key)
+        if shape is None:
             low: int | None = None
             low_witness: Alignment | None = None
             try:
                 lattice = trace_lattice(trace, key)
-                low, low_witness = lower_bound(trace, model, cost, lattice, witnesses, memo)
-                if all(len(edges) <= 1 for edges in lattice):
+                chain = all(len(edges) <= 1 for edges in lattice)
+                if witnesses or chain:
+                    low, low_witness = lower_bound(trace, model, cost, lattice, witnesses, memo)
+                else:
+                    # The lattice search's cap holds whether or not the search runs.
+                    _check_cells(len(lattice), moves.rg)
+                if chain:
                     count, up, up_witness = 1, low, low_witness
                 else:
-                    dag = realization_dag(trace, caps, lattice)
+                    try:
+                        dag = realization_dag(trace, caps, lattice)
+                        up, word, least = _costliest_realization(dag, memo)
+                    except CapExceeded:
+                        if low is None:  # the capped row still reports its lower bound
+                            low = lower_bound(trace, model, cost, lattice, False, memo)[0]
+                        raise
+                    if low is None:
+                        low = lower_bound(trace, model, cost, lattice, False, memo)[0] if least is None else least
                     count = dag.count
-                    up, word = _costliest_realization(dag, memo)
                     up_witness = _align(_chain(word), moves, cost, memo=memo)[1] if witnesses else None
             except CapExceeded as exc:
                 reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
                 continue
-            shapes[key] = low, up, low_witness, up_witness, count
-        low, up, low_witness, up_witness, count = shapes[key]
+            shape = shapes[key] = low, up, low_witness, up_witness, count
+        low, up, low_witness, up_witness, count = shape
         reports.append(BoundsReport(trace.case_id, low, up, low_witness, up_witness, count))
         total_lower += low
         total_upper += up

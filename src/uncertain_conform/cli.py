@@ -83,15 +83,16 @@ def cmd_bounds(args) -> int:
         }
         _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
         return exit_code
-    fields = ["lower_cost", "upper_cost", "realization_count"]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["case_id", "lower_cost", "upper_cost", "realization_count"])
     # A capped report leaves its missing fields None; they print as "capped".
-    rows = []
-    for r in result.reports:
-        values = (r.lower_cost, r.upper_cost, r.realization_count)
-        rows.append({"case_id": r.case_id, **{f: "capped" if v is None else v for f, v in zip(fields, values)}})
-    rows.append({"case_id": "total", "lower_cost": result.total_lower, "upper_cost": result.total_upper,
-                 "realization_count": ""})
-    _write_csv(rows, ["case_id", *fields], args.out)
+    writer.writerows(
+        [r.case_id, *("capped" if v is None else v for v in (r.lower_cost, r.upper_cost, r.realization_count))]
+        for r in result.reports
+    )
+    writer.writerow(["total", result.total_lower, result.total_upper, ""])
+    _write(buffer.getvalue(), args.out)
     return exit_code
 
 

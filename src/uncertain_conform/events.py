@@ -7,11 +7,11 @@ only their total order matters here.
 
 :func:`precedes` is the one definition of the timestamp order; the behavior
 graph (:func:`behavior.behavior_graph`) and every lattice read it as
-per-event predecessor bitmasks. A trace's state space is the lattice of
-order ideals of that order (:func:`trace_lattice`): the reachability graph
-of its behavior net, built without the net and capped by :data:`STATE_CAP`
-and :data:`EDGE_CAP`, from :func:`lattice_key`, which traces of equal shape
-share.
+per-event predecessor bitmasks (:func:`lattice_key` inlines its comparison).
+A trace's state space is the lattice of order ideals of that order
+(:func:`trace_lattice`): the reachability graph of its behavior net, built
+without the net and capped by :data:`STATE_CAP` and :data:`EDGE_CAP`, from
+:func:`lattice_key`, which traces of equal shape share.
 The lower bound searches it. :func:`word_dag` determinizes it (a subset
 construction, also capped by :data:`STATE_CAP`): its paths spell the
 distinct words of the linear extensions, its path counts count them without
@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import CapExceeded, ValidationError
 from .petri import RESERVED_LABELS
@@ -310,18 +311,33 @@ def _by_id(trace: UncertainTrace) -> tuple[list[UncertainEvent], list[int]]:
 def lattice_key(trace: UncertainTrace) -> LatticeKey:
     """The input of the trace's :func:`trace_lattice`: (preds, steps).
 
-    Steps are listed in the behavior net's transition-id order (``e:a``,
-    ``e:tau``); an indeterminate event also steps with None (its skip). Two
-    traces with equal keys have the same lattice, node for node and edge for
-    edge, whatever their case and event ids.
+    ``preds`` is :func:`_by_id`'s. Steps are listed in the behavior net's
+    transition-id order (``e:a``, ``e:tau``); an indeterminate event also
+    steps with None (its skip). Two traces with equal keys have the same
+    lattice, node for node and edge for edge, whatever their case and event
+    ids.
     """
-    events, preds = _by_id(trace)
-    steps = sorted(
-        (f"{e.id}:{'tau' if a is None else a}", i, a)
-        for i, e in enumerate(events)
-        for a in ((*e.activities, None) if e.indeterminate else e.activities)
-    )
-    return tuple(preds), tuple((i, a) for _, i, a in steps)
+    events = sorted(trace.events, key=attrgetter("id"))
+    ends = [e.t_max for e in events]
+    preds = []
+    # (transition id, event index, label): two events may spell the same
+    # transition id, and their indices keep them apart and in id order.
+    steps = []
+    for i, e in enumerate(events):
+        # :func:`precedes` inline: event j precedes e when it ends before e starts.
+        start, mask, bit = e.t_min, 0, 1
+        for end in ends:
+            if end < start:
+                mask |= bit
+            bit <<= 1
+        preds.append(mask)
+        head = e.id + ":"
+        for a in e.activities:
+            steps.append((head + a, i, a))
+        if e.indeterminate:
+            steps.append((head + "tau", i, None))
+    steps.sort()
+    return tuple(preds), tuple([(i, a) for _, i, a in steps])
 
 
 def trace_lattice(trace: UncertainTrace, key: LatticeKey | None = None) -> Lattice:

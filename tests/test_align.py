@@ -1,4 +1,5 @@
 """Alignments and conformance bounds."""
+import collections
 import dataclasses
 import random
 import tracemalloc
@@ -807,11 +808,12 @@ class TestUpperBoundWalk:
         real = align._Prefix.child
         memo = align._PrefixMemo(align._model_structures(model, cost), cost)
         with mock.patch.object(align._Prefix, "child", lambda self, label: visited.append(label) or real(self, label)):
-            found = align._costliest_realization(events.realization_dag(trace), memo)
+            up, word, least = align._costliest_realization(events.realization_dag(trace), memo)
         # Only instances where the walk drops some prefix, with its subtree.
         assume(len(visited) < len(prefixes))
         expected = first_costliest(trace, model, cost)
-        assert found == (expected.cost, expected.log_projection())
+        assert (up, word) == (expected.cost, expected.log_projection())
+        assert least in (None, lower_bound_bruteforce(trace, model, cost))
 
     def test_scan_is_capped(self, monkeypatch):
         trace = UncertainTrace("w", tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 9) for i in range(3)))
@@ -833,6 +835,115 @@ class TestUpperBoundWalk:
         monkeypatch.setattr(align, "PRODUCT_CAP", 14)
         with pytest.raises(CapExceeded, match=r"upper-bound walk keeps 5 rows x 3 model states.*product cap \(14\)"):
             upper_bound(trace, model)
+
+
+@st.composite
+def cyclic_models_and_traces(draw, max_events: int = 4):
+    """A model of CYCLIC_MODELS plus an uncertain trace over its labels (with noise)."""
+    model = _cyclic_net(*CYCLIC_MODELS[draw(st.sampled_from(sorted(CYCLIC_MODELS)))])
+    return model, draw(uncertain_traces(max_events=max_events, alphabet=("a", "b", "c", "x")))
+
+
+def walk_kind(trace, model, cost):
+    """How the upper-bound walk meets the trace: "chain" (the lattice has one
+    maximal path, and no walk runs), "unpruned" (it visits every prefix),
+    "certified" (it drops some and still proves the least cost) or "fallback"."""
+    if all(len(edges) <= 1 for edges in events.trace_lattice(trace)):
+        return "chain"
+    visited = []
+    real = align._Prefix.child
+    memo = align._PrefixMemo(align._model_structures(model, cost), cost)
+    with mock.patch.object(align._Prefix, "child", lambda self, label: visited.append(label) or real(self, label)):
+        _, _, least = align._costliest_realization(events.realization_dag(trace), memo)
+    prefixes = {word[:k] for word in realizations(trace) for k in range(1, len(word) + 1)}
+    if len(visited) == len(prefixes):
+        assert least is not None  # nothing dropped: every realization was aligned
+        return "unpruned"
+    return "fallback" if least is None else "certified"
+
+
+#: Two traces on ``event_net(["a", "b", "c"])`` whose walks drop a prefix;
+#: both have bounds (2, 4). Only the first walk proves its least cost.
+CERTIFIED = (certain_event("e0", "a", 0), certain_event("e1", "a", 0), UncertainEvent("e2", {"a", "b"}, 0, 0))
+UNCERTIFIED = (certain_event("e0", "a", 0), certain_event("e1", "a", 1), UncertainEvent("e2", {"a", "b"}, 0, 0))
+
+
+class TestCertifiedLowerBound:
+    """Without witnesses, a branching shape takes its lower bound from the
+    upper-bound walk when the walk proves it, and searches the lattice only
+    when the proof fails."""
+
+    def test_csv_bounds_are_the_searched_bounds(self):
+        kinds = collections.Counter()
+
+        @given(
+            st.one_of(models_and_traces(max_events=6, max_transitions=8), cyclic_models_and_traces()),
+            st.sampled_from([(1, 1), (2, 1), (1, 3)]),
+        )
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        def check(model_and_trace, costs):
+            model, trace = model_and_trace
+            cost = CostFunction(*costs)
+            log = UncertainLog((trace,))
+            searches = []
+            real = align.lower_bound
+            with mock.patch.object(align, "lower_bound", lambda *args: searches.append(args) or real(*args)):
+                bare = log_bounds(log, model, cost, witnesses=False).reports[0]
+            full = log_bounds(log, model, cost).reports[0]
+            fields = ("lower_cost", "upper_cost", "realization_count")
+            assert [getattr(bare, f) for f in fields] == [getattr(full, f) for f in fields]
+            assert bare.lower_cost == lower_bound_bruteforce(trace, model, cost)
+            kind = walk_kind(trace, model, cost)
+            assert len(searches) == (kind in ("chain", "fallback"))
+            kinds[kind] += 1
+
+        check()
+        assert {"unpruned", "certified", "fallback"} <= kinds.keys(), kinds
+
+    @pytest.mark.parametrize("spec, witnesses, searches", [
+        (CERTIFIED, False, 0), (UNCERTIFIED, False, 1), (CERTIFIED, True, 1), (UNCERTIFIED, True, 1),
+    ])
+    def test_lattice_searches(self, spec, witnesses, searches, monkeypatch):
+        model, trace = event_net(["a", "b", "c"]), UncertainTrace("c", spec)
+        assert walk_kind(trace, model, STANDARD_COST) == ("certified" if spec is CERTIFIED else "fallback")
+        calls = []
+        real = align.lower_bound
+        monkeypatch.setattr(align, "lower_bound", lambda *args: calls.append(args) or real(*args))
+        report = log_bounds(UncertainLog((trace,)), model, witnesses=witnesses).reports[0]
+        assert (report.lower_cost, report.upper_cost, report.realization_count) == (2, 4, len(realizations(trace)))
+        assert len(calls) == searches
+
+    def test_scan_capped_walk_reports_its_lower_bound(self, monkeypatch):
+        trace = UncertainTrace("w", tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 9) for i in range(3)))
+        model = event_net(["a", "b"])  # 3 states; the walk compares 12 cells with kept rows
+        monkeypatch.setattr(align, "SCAN_CAP", 11)
+        report = log_bounds(UncertainLog((trace,)), model, witnesses=False).reports[0]
+        assert (report.lower_cost, report.upper_cost, report.realization_count) == (1, None, None)
+        assert report.error == "upper-bound walk compared 12 cells of kept rows, over the scan cap (11)"
+
+    def test_product_capped_walk_reports_its_lower_bound(self, monkeypatch):
+        # Two ordered events of three labels: 3 lattice nodes, and the walk keeps 4 rows.
+        trace = UncertainTrace("w", tuple(UncertainEvent(f"e{i}", frozenset("abc"), 5 * i, 5 * i) for i in range(2)))
+        model = event_net(["a", "b"])  # 3 states
+        log = UncertainLog((trace,))
+        monkeypatch.setattr(align, "PRODUCT_CAP", 12)
+        assert log_bounds(log, model, witnesses=False).reports[0].error is None
+        monkeypatch.setattr(align, "PRODUCT_CAP", 11)
+        report = log_bounds(log, model, witnesses=False).reports[0]
+        assert (report.lower_cost, report.upper_cost, report.realization_count) == (0, None, None)
+        assert report.error == "upper-bound walk keeps 4 rows x 3 model states, over the product cap (11)"
+        assert log_bounds(log, model).reports[0] == dataclasses.replace(report, lower_witness=lower_bound(trace, model)[1])
+
+    def test_lattice_product_cap_holds_without_the_search(self, monkeypatch):
+        # The walk keeps 5 rows of 4 model states and certifies, but the
+        # lattice search would need 8 x 4 cells.
+        model, trace = event_net(["a", "b", "c"]), UncertainTrace("c", CERTIFIED)
+        monkeypatch.setattr(align, "PRODUCT_CAP", 20)
+        for witnesses in (False, True):
+            report = log_bounds(UncertainLog((trace,)), model, witnesses=witnesses).reports[0]
+            assert (report.lower_cost, report.upper_cost, report.realization_count) == (None, None, None)
+            assert report.error == "alignment needs 32 product cells (8 trace states x 4 model states), over the product cap (20)"
+        assert walk_kind(trace, model, STANDARD_COST) == "certified"
 
 
 class TestWitnessesOnRequest:

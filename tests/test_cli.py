@@ -253,8 +253,10 @@ class TestBounds:
         assert "reachability exploration exceeded the state cap (50)" in captured.err
 
 
-#: SHA-256 of ``bounds --json`` on the ``gen`` log of :class:`TestWitnessesOnlyForJson` (seed ``w1``).
+#: SHA-256 of ``bounds --json`` and of ``bounds`` (CSV) on the ``gen`` log of
+#: :class:`TestWitnessesOnlyForJson` (seed ``w1``).
 GEN_JSON_SHA256 = "a5c4d0527cb9bdbaedbb0c2e6d911ca209acee7d25b4e3f61c995386870f931e"
+GEN_CSV_SHA256 = "a8fc0f2472788ad89fa2a83b6a8e56f2a9368901a810f39d855b2aed0bac5df9"
 
 
 class TestWitnessesOnlyForJson:
@@ -293,6 +295,11 @@ class TestWitnessesOnlyForJson:
         log_path, net_path = gen_inputs
         assert main(["bounds", "--log", str(log_path), "--net", str(net_path), "--json"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == GEN_JSON_SHA256
+
+    def test_gen_csv_is_pinned(self, gen_inputs, capsys):
+        log_path, net_path = gen_inputs
+        assert main(["bounds", "--log", str(log_path), "--net", str(net_path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == GEN_CSV_SHA256
 
     @pytest.mark.parametrize("flags, built", [([], False), (["--json"], True)])
     def test_witnesses_are_built_only_for_json(self, flags, built, gen_inputs, capsys, monkeypatch):

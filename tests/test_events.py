@@ -352,3 +352,43 @@ class TestEnumerationOracle:
         events = tuple(UncertainEvent(f"e{i}", frozenset({"a", "b"}), 0, 99) for i in range(10))
         trace = UncertainTrace("wide", events)  # 10! orderings, 2^10 realizations
         assert len(list(iter_realizations(trace, EnumerationCaps(max_realizations=1024)))) == 1024
+
+
+def lattice_key_by_id(trace):
+    """:func:`events.lattice_key` built as it was first written: predecessors
+    from :func:`events._by_id` through ``precedes``, and one sort of the
+    ``id:label`` transition ids with the event index as tie-break."""
+    by_id, preds = events._by_id(trace)
+    steps = sorted(
+        (f"{e.id}:{'tau' if a is None else a}", i, a)
+        for i, e in enumerate(by_id)
+        for a in ((*e.activities, None) if e.indeterminate else e.activities)
+    )
+    return tuple(preds), tuple((i, a) for _, i, a in steps)
+
+
+@st.composite
+def traces_with_prefix_ids(draw):
+    """Traces whose ids are prefixes of one another, and whose ``id:label``
+    transition ids may coincide (``e1`` with ``x:a`` and ``e1:x`` with ``a``)."""
+    ids = draw(st.lists(st.sampled_from(["e1", "e1:x", "e10", "e1-x", "e", "e:"]), min_size=1, max_size=6, unique=True))
+    events_ = []
+    for event_id in ids:
+        lo = draw(st.integers(0, 6))
+        labels = draw(st.frozensets(st.sampled_from(["a", "b", "x:a", "a:b"]), min_size=1, max_size=3))
+        events_.append(UncertainEvent(event_id, labels, lo, lo + draw(st.integers(0, 3)), draw(st.booleans())))
+    return UncertainTrace("c", tuple(events_))
+
+
+class TestLatticeKey:
+    @given(st.one_of(traces_with_prefix_ids(), uncertain_traces(max_events=7)))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_key_is_the_by_id_key(self, trace):
+        assert events.lattice_key(trace) == lattice_key_by_id(trace)
+
+    def test_equal_transition_ids_keep_id_order(self):
+        # "e1" + "x:a" and "e1:x" + "a" both spell "e1:x:a"; "e1" sorts first.
+        trace = UncertainTrace("c", (
+            UncertainEvent("e1:x", frozenset({"a"}), 0, 0, True), UncertainEvent("e1", frozenset({"x:a"}), 0, 0),
+        ))
+        assert events.lattice_key(trace) == ((0, 0), ((0, "x:a"), (1, "a"), (1, None))) == lattice_key_by_id(trace)
