@@ -890,13 +890,13 @@ def log_bounds(
     neither. With ``witnesses`` false, no witness is built and every report
     carries None for both; the costs and counts are the same.
 
-    With witnesses, the lattice search gives the lower bound and its
-    witness, and the upper-bound walk runs after it. Without them, a
-    branching lattice runs the walk first and takes the least cost it
-    proves (:func:`_costliest_realization`); the lattice search runs only
-    when the walk proves none, or when the walk or its DAG caps, so that
-    the capped row still reports its lower bound. The search's product cap
-    is checked either way, so the same rows cap on both routes.
+    A branching lattice checks the lattice search's product cap, then runs
+    the upper-bound walk. Without witnesses, the lower bound is the least
+    cost the walk proves (:func:`_costliest_realization`); the lattice
+    search gives it with witnesses, when the walk proves none, and when the
+    walk or its DAG caps, so that the capped row still reports its lower
+    bound. Memo rows hold the same values whichever search runs first, so
+    the order changes no cost and no witness.
 
     Traces of equal shape are aligned once per call. The bounds, both
     witnesses and the count read only the model and the trace's lattice,
@@ -921,24 +921,23 @@ def log_bounds(
             low_witness: Alignment | None = None
             try:
                 lattice = trace_lattice(trace, key)
-                chain = all(len(edges) <= 1 for edges in lattice)
-                if witnesses or chain:
+                if all(len(edges) <= 1 for edges in lattice):
                     low, low_witness = lower_bound(trace, model, cost, lattice, witnesses, memo)
+                    count, up, up_witness = 1, low, low_witness
                 else:
                     # The lattice search's cap holds whether or not the search runs.
                     _check_cells(len(lattice), moves.rg)
-                if chain:
-                    count, up, up_witness = 1, low, low_witness
-                else:
                     try:
                         dag = realization_dag(trace, caps, lattice)
                         up, word, least = _costliest_realization(dag, memo)
                     except CapExceeded:
-                        if low is None:  # the capped row still reports its lower bound
-                            low = lower_bound(trace, model, cost, lattice, False, memo)[0]
+                        # The capped row still reports its lower bound.
+                        low, low_witness = lower_bound(trace, model, cost, lattice, witnesses, memo)
                         raise
-                    if low is None:
-                        low = lower_bound(trace, model, cost, lattice, False, memo)[0] if least is None else least
+                    if least is not None and not witnesses:
+                        low, low_witness = least, None
+                    else:
+                        low, low_witness = lower_bound(trace, model, cost, lattice, witnesses, memo)
                     count = dag.count
                     up_witness = _align(_chain(word), moves, cost, memo=memo)[1] if witnesses else None
             except CapExceeded as exc:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from .align import STANDARD_COST, log_bounds
@@ -29,10 +30,10 @@ DEVIATION_NAMES = ["activity", "all", "extra", "none", "swaps"]
 UNCERTAINTY_NAMES = ["activities", "timestamps", "indeterminate", "all"]
 
 
-def _write_csv(rows: list[dict], fieldnames: list[str], out: str | None) -> None:
+def _write_csv(header: list[str], rows: Iterable[Sequence], out: str | None) -> None:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
     _write(buffer.getvalue(), out)
 
@@ -83,16 +84,13 @@ def cmd_bounds(args) -> int:
         }
         _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
         return exit_code
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["case_id", "lower_cost", "upper_cost", "realization_count"])
     # A capped report leaves its missing fields None; they print as "capped".
-    writer.writerows(
+    rows = [
         [r.case_id, *("capped" if v is None else v for v in (r.lower_cost, r.upper_cost, r.realization_count))]
         for r in result.reports
-    )
-    writer.writerow(["total", result.total_lower, result.total_upper, ""])
-    _write(buffer.getvalue(), args.out)
+    ]
+    rows.append(["total", result.total_lower, result.total_upper, ""])
+    _write_csv(["case_id", "lower_cost", "upper_cost", "realization_count"], rows, args.out)
     return exit_code
 
 
@@ -123,8 +121,8 @@ def cmd_exp_divergence(args) -> int:
         uncertainty_names=tuple(args.uncertainty_config),
         seed=str(args.seed),
     )
-    rows = run_divergence(spec)
-    _write_csv(rows, ["p", "deviation_config", "uncertainty_config", "mean_lower", "mean_upper"], args.out)
+    fields = ["p", "deviation_config", "uncertainty_config", "mean_lower", "mean_upper"]
+    _write_csv(fields, ([row[f] for f in fields] for row in run_divergence(spec)), args.out)
     return EXIT_OK
 
 
@@ -142,7 +140,8 @@ def cmd_exp_performance(args) -> int:
     for row in rows:
         if row["mean_seconds"] != "timeout":
             row["mean_seconds"] = f"{row['mean_seconds']:.6f}"
-    _write_csv(rows, ["n", "method", "mean_seconds"], args.out)
+    fields = ["n", "method", "mean_seconds"]
+    _write_csv(fields, ([row[f] for f in fields] for row in rows), args.out)
     return EXIT_OK
 
 
@@ -157,7 +156,8 @@ def cmd_exp_realizations(args) -> int:
         seed=str(args.seed),
     )
     rows = run_realizations(spec, sweep=args.sweep, uncertainty_name=args.uncertainty_config)
-    _write_csv(rows, ["x", "mean_realizations"], args.out)
+    fields = ["x", "mean_realizations"]
+    _write_csv(fields, ([row[f] for f in fields] for row in rows), args.out)
     return EXIT_OK
 
 

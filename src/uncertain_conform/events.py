@@ -5,13 +5,13 @@ timestamp interval, and an indeterminacy flag ("?" events may not have
 happened at all). Timestamps are integers (nanoseconds since the epoch);
 only their total order matters here.
 
-:func:`precedes` is the one definition of the timestamp order; the behavior
-graph (:func:`behavior.behavior_graph`) and every lattice read it as
-per-event predecessor bitmasks (:func:`lattice_key` inlines its comparison).
-A trace's state space is the lattice of order ideals of that order
-(:func:`trace_lattice`): the reachability graph of its behavior net, built
-without the net and capped by :data:`STATE_CAP` and :data:`EDGE_CAP`, from
-:func:`lattice_key`, which traces of equal shape share.
+:func:`precedes` defines the timestamp order; :func:`_by_id` computes it
+for a whole trace as per-event predecessor bitmasks, which the behavior
+graph (:func:`behavior.behavior_graph`) and every lattice read. A trace's state space is the lattice of
+order ideals of that order (:func:`trace_lattice`): the reachability graph
+of its behavior net, built without the net and capped by :data:`STATE_CAP`
+and :data:`EDGE_CAP`, from :func:`lattice_key`, which traces of equal shape
+share.
 The lower bound searches it. :func:`word_dag` determinizes it (a subset
 construction, also capped by :data:`STATE_CAP`): its paths spell the
 distinct words of the linear extensions, its path counts count them without
@@ -303,34 +303,33 @@ def linear_words(dag: WordDag) -> Iterator[tuple[str, ...]]:
 
 def _by_id(trace: UncertainTrace) -> tuple[list[UncertainEvent], list[int]]:
     """The trace's events sorted by id and each one's predecessors as a bitmask."""
-    events = sorted(trace.events, key=lambda e: e.id)
-    preds = [sum(1 << i for i, p in enumerate(events) if precedes(p, e)) for e in events]
-    return events, preds
-
-
-def lattice_key(trace: UncertainTrace) -> LatticeKey:
-    """The input of the trace's :func:`trace_lattice`: (preds, steps).
-
-    ``preds`` is :func:`_by_id`'s. Steps are listed in the behavior net's
-    transition-id order (``e:a``, ``e:tau``); an indeterminate event also
-    steps with None (its skip). Two traces with equal keys have the same
-    lattice, node for node and edge for edge, whatever their case and event
-    ids.
-    """
     events = sorted(trace.events, key=attrgetter("id"))
     ends = [e.t_max for e in events]
     preds = []
-    # (transition id, event index, label): two events may spell the same
-    # transition id, and their indices keep them apart and in id order.
-    steps = []
-    for i, e in enumerate(events):
-        # :func:`precedes` inline: event j precedes e when it ends before e starts.
+    for e in events:
+        # :func:`precedes` in one pass: event j precedes e when it ends before e starts.
         start, mask, bit = e.t_min, 0, 1
         for end in ends:
             if end < start:
                 mask |= bit
             bit <<= 1
         preds.append(mask)
+    return events, preds
+
+
+def lattice_key(trace: UncertainTrace) -> LatticeKey:
+    """The input of the trace's :func:`trace_lattice`: (preds, steps).
+
+    Steps are listed in the behavior net's transition-id order (``e:a``,
+    ``e:tau``); an indeterminate event also steps with None (its skip). Two
+    traces with equal keys have the same lattice, node for node and edge for
+    edge, whatever their case and event ids.
+    """
+    events, preds = _by_id(trace)
+    # (transition id, event index, label): two events may spell the same
+    # transition id, and their indices keep them apart and in id order.
+    steps = []
+    for i, e in enumerate(events):
         head = e.id + ":"
         for a in e.activities:
             steps.append((head + a, i, a))

@@ -355,10 +355,11 @@ class TestEnumerationOracle:
 
 
 def lattice_key_by_id(trace):
-    """:func:`events.lattice_key` built as it was first written: predecessors
-    from :func:`events._by_id` through ``precedes``, and one sort of the
+    """:func:`events.lattice_key` built from its definition: predecessors
+    from ``precedes`` per pair of events sorted by id, and one sort of the
     ``id:label`` transition ids with the event index as tie-break."""
-    by_id, preds = events._by_id(trace)
+    by_id = sorted(trace.events, key=lambda e: e.id)
+    preds = [sum(1 << i for i, p in enumerate(by_id) if precedes(p, e)) for e in by_id]
     steps = sorted(
         (f"{e.id}:{'tau' if a is None else a}", i, a)
         for i, e in enumerate(by_id)
@@ -383,7 +384,7 @@ def traces_with_prefix_ids(draw):
 class TestLatticeKey:
     @given(st.one_of(traces_with_prefix_ids(), uncertain_traces(max_events=7)))
     @settings(max_examples=200, deadline=None)
-    def test_one_pass_key_is_the_by_id_key(self, trace):
+    def test_one_pass_key_is_the_pairwise_key(self, trace):
         assert events.lattice_key(trace) == lattice_key_by_id(trace)
 
     def test_equal_transition_ids_keep_id_order(self):
