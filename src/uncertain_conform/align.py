@@ -52,9 +52,19 @@ A closed row depends only on the word that reaches it, so one call keeps a
 trie of closed rows keyed by word prefix (:class:`_PrefixMemo`): the walk,
 the witness chain and each lattice node reached by one path read their rows
 from it, and a prefix is relaxed once per call, whichever search spells it
-first. :func:`log_bounds` shares one trie across its traces.
+first. A second trie holds suffix rows, keyed by word suffix: for each
+model state, the cost of aligning the suffix from there to the final
+marking, closed backwards by the same sweeps run last first
+(:meth:`_ModelMoves.back_relax`). A prefix whose walk node has one
+completion is priced at the junction of its parent's forward row and the
+completion's suffix row, and the walk goes no further. Min-plus products
+are associative, so the junction is exact; the forward row already holds
+the model moves in front of the next label and the suffix row those after
+it, so the junction needs no closure. Each suffix is relaxed once per call,
+however many prefixes end in it. :func:`log_bounds` shares both tries
+across its traces.
 Memory is linear in the model's edges plus the two tables or the kept rows,
-which :data:`PRODUCT_CAP` bounds, plus the trie, which stops storing rows
+which :data:`PRODUCT_CAP` bounds, plus the tries, which stop storing rows
 at :data:`MEMO_CELLS` cells; set-up adds the markings, freed once the graph
 is built. :data:`events.STATE_CAP` bounds the model's states, each lattice
 and each walk DAG, :data:`events.EDGE_CAP` each lattice's edges, and
@@ -316,7 +326,11 @@ class _ModelMoves:
     ``sweeps`` holds (sources, targets, weights) per sweep, a run of
     consecutive levels closed by one ``np.minimum.at``; ``sweep_at[k]`` is
     the sweep that holds level k, and ``sweep_at[depth]`` is past the last.
+    ``back_sweeps`` holds the same sweeps last first, each edge turned
+    round, so the same loop closes a row backwards.
     ``sync[label]`` holds (sources, targets, start level) of its edges.
+    ``initial_row`` is each state's model-move distance from the initial
+    marking, ``final_row`` its distance to the final marking.
     """
 
     def __init__(self, rg: ReachabilityGraph, cost: CostFunction):
@@ -325,6 +339,7 @@ class _ModelMoves:
         self.cyclic = rg.cyclic
         self.depth = int(rg.level.max()) + 1
         self.sweeps, self.sweep_at = _sweeps(rg, self.model_cost, self.depth)
+        self.back_sweeps = [(targets, sources, weights) for sources, targets, weights in reversed(self.sweeps)]
         names = sorted({label for label in rg.labels if label is not None})
         code = np.array([-1 if label is None else names.index(label) for label in rg.labels], np.intp)
         self.sync: dict[str, tuple[np.ndarray, np.ndarray, int]] = {
@@ -336,6 +351,10 @@ class _ModelMoves:
         self.initial_row[rg.initial] = 0.0
         self.relax(self.initial_row)
         self.initial_row.flags.writeable = False
+        self.final_row = np.full(rg.n, np.inf)
+        self.final_row[rg.final] = 0.0
+        self.back_relax(self.final_row)
+        self.final_row.flags.writeable = False
 
     def weight(self, label: str | None) -> float:
         return 0.0 if label is None else self.model_cost
@@ -345,13 +364,15 @@ class _ModelMoves:
         a level before ``start`` is already tight (always 0 on a cyclic graph):
         one ``np.minimum.at`` per sweep, from the sweep that holds ``start``.
         Levels of that sweep before ``start`` only see tight paths again."""
-        sweeps = self.sweeps[self.sweep_at[start]:]
-        changed = bool(sweeps)
-        while changed:
-            before = row.copy() if self.cyclic else None
-            for sources, targets, weights in sweeps:
-                np.minimum.at(row, targets, row[sources] + weights)
-            changed = before is not None and not np.array_equal(before, row)
+        _close(row, self.sweeps[self.sweep_at[start]:], self.cyclic)
+
+    def back_relax(self, row: np.ndarray) -> None:
+        """Close ``row`` under model moves backwards in place: ``row[u]``
+        becomes the least ``row[y]`` plus the cost of a model-move path
+        u -> y. The sweeps run last first, and each reads its targets before
+        it writes any source, so its composed edges, which hold every path
+        inside its run, close the row backwards as they close it forwards."""
+        _close(row, self.back_sweeps, self.cyclic)
 
     def segment(self, pre: np.ndarray, post: np.ndarray, v: int) -> tuple[int, list[Move]]:
         """A state u with ``pre[u] == post[u]`` and the moves of a cheapest path
@@ -376,6 +397,17 @@ class _ModelMoves:
             x, move = link
             path.append(move)
         return u, path
+
+
+def _close(row: np.ndarray, sweeps: list, cyclic: bool) -> None:
+    """One ``np.minimum.at`` per sweep into its targets, from its sources;
+    on a cyclic graph, repeated until nothing changes."""
+    changed = bool(sweeps)
+    while changed:
+        before = row.copy() if cyclic else None
+        for sources, targets, weights in sweeps:
+            np.minimum.at(row, targets, row[sources] + weights)
+        changed = before is not None and not np.array_equal(before, row)
 
 
 #: Most edges that composing one more level into a sweep may add to it,
@@ -502,11 +534,14 @@ def prepare_model(model: SystemNet, cost: CostFunction = STANDARD_COST) -> None:
 
 
 class _PrefixMemo:
-    """Closed DP rows keyed by word prefix, a trie local to one call.
+    """Closed DP rows keyed by word, two tries local to one call.
 
-    ``root`` is the empty word. Once the memo holds :data:`MEMO_CELLS`
-    cells it stores no new row; a row it does not store is still computed
-    and returned, so results do not depend on the budget.
+    ``root`` is the empty prefix (:class:`_Prefix`), with the initial
+    marking's forward row; ``end`` is the empty suffix (:class:`_Suffix`),
+    with each state's model-move distance to the final marking. Once the
+    memo holds :data:`MEMO_CELLS` cells of prefix and suffix rows it stores
+    no new row; a row it does not store is still computed and returned, so
+    results do not depend on the budget.
     """
 
     def __init__(self, moves: _ModelMoves, cost: CostFunction):
@@ -514,12 +549,13 @@ class _PrefixMemo:
         self.log_cost = float(cost.log_move)
         self.free = MEMO_CELLS
         self.root = _Prefix(self, moves.initial_row)
+        self.end = _Suffix(self, moves.final_row)
 
 
-class _Prefix:
-    """One word prefix of a :class:`_PrefixMemo`: its read-only closed row,
-    its stored children by label, and whether the memo stored it. A prefix
-    the memo did not store never gets children: the budget was spent first."""
+class _Node:
+    """One node of a :class:`_PrefixMemo` trie: its read-only row, its stored
+    children by label, and whether the memo stored it. A node the memo did
+    not store never gets children: the budget was spent first."""
 
     __slots__ = ("memo", "row", "children", "stored")
 
@@ -527,21 +563,65 @@ class _Prefix:
         row.flags.writeable = False
         self.memo, self.row, self.children, self.stored = memo, row, {}, stored
 
-    def child(self, label: str | None) -> _Prefix:
-        """This prefix followed by ``label``: one :func:`_transfer` and relax
-        the first time a label is used; a None (skip) label spells nothing."""
+    def child(self, label: str | None) -> _Node:
+        """This node one ``label`` further, its row made by ``_step`` the
+        first time a label is used; a None (skip) label spells nothing."""
         if label is None:
             return self
         node = self.children.get(label)
         if node is None:
-            memo, moves = self.memo, self.memo.moves
-            row = np.full(moves.rg.n, np.inf)
-            moves.relax(row, _transfer(row, self.row, label, moves, memo.log_cost))
-            node = _Prefix(memo, row, memo.free >= row.size)
+            memo = self.memo
+            row = self._step(label)
+            node = type(self)(memo, row, memo.free >= row.size)
             if node.stored:
                 memo.free -= row.size
                 self.children[label] = node
         return node
+
+
+class _Prefix(_Node):
+    """A word prefix: its row is the closed forward row of the words that
+    spell it. A child appends its label, by one :func:`_transfer` and relax."""
+
+    __slots__ = ()
+
+    def _step(self, label: str) -> np.ndarray:
+        moves = self.memo.moves
+        row = np.full(moves.rg.n, np.inf)
+        moves.relax(row, _transfer(row, self.row, label, moves, self.memo.log_cost))
+        return row
+
+
+class _Suffix(_Node):
+    """A word suffix σ: ``row[v]`` is the least cost of aligning σ from
+    model state v to the final marking, the model moves in front included.
+    A child prepends its label: a log move, or a synchronous move read
+    backwards, then the model moves in front, closed backwards."""
+
+    __slots__ = ()
+
+    def price(self, row: np.ndarray, label: str) -> float:
+        """The cost of the words whose closed forward row is ``row``,
+        followed by ``label`` and σ. ``row`` holds the model moves before
+        ``label``, so the junction needs no closure."""
+        memo = self.memo
+        value = (row + self.row).min() + memo.log_cost
+        sync = memo.moves.sync.get(label)
+        if sync is not None:
+            sources, targets, _ = sync
+            value = min(value, (row[sources] + self.row[targets]).min())
+        return value
+
+    def _step(self, label: str) -> np.ndarray:
+        memo = self.memo
+        row = self.row + memo.log_cost
+        sync = memo.moves.sync.get(label)
+        if sync is not None:
+            # A log move leaves the row closed; a synchronous move opens it at its sources.
+            sources, targets, _ = sync
+            np.minimum.at(row, sources, self.row[targets])
+            memo.moves.back_relax(row)
+        return row
 
 
 def _align(
@@ -748,9 +828,17 @@ def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[
     cost so far, as each of its completions comes after the winner. The
     root's m is then at most every realization's cost, and when it equals
     the least accepting value the walk visited, that value is the least
-    cost. Rows at walk nodes without children are not kept. Kept rows times
-    model states are capped by :data:`PRODUCT_CAP`, and the cells compared
-    with kept rows by :data:`SCAN_CAP`.
+    cost.
+
+    A prefix whose walk node has one completion σ (a tail) gets no row and
+    no scan: its parent's row, its last label and σ's suffix row
+    (:class:`_Suffix`) give the exact cost of its one realization
+    (:meth:`_Suffix.price`), which counts as a childless child's does.
+    σ's rows are relaxed once, backwards, however many prefixes end in it.
+    A DAG that spells one word has no tails; it is walked forward. Kept
+    rows, plus suffix rows the memo does not store, times model states are
+    capped by :data:`PRODUCT_CAP`, and the cells compared with kept rows by
+    :data:`SCAN_CAP`.
     """
     final, width = memo.moves.rg.final, memo.moves.rg.n
     # Per walk node, its kept rows as [row, most and least cost of its subtree so far].
@@ -761,6 +849,10 @@ def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[
     kept_rows, scanned = 1, 0
     best, winner = (-np.inf, None) if value is None else (value, ())
     least = root[2]
+    # Per tail walk node, the suffix of its one completion and that completion.
+    tails: dict[int, tuple[_Suffix, tuple[str, ...]]] = {}
+    branching = dag.paths[0] > 1
+    diff = np.empty(width)
     # Per entry: the parent prefix, the prefix spelled so far, its walk node,
     # and the kept row whose bounds take the entry's. A None word marks the
     # end of the subtree of the kept row given in place of the prefix.
@@ -771,17 +863,27 @@ def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[
             up[1] = max(up[1], parent[1])
             up[2] = min(up[2], parent[2])
             continue
-        prefix = parent.child(word[-1])
-        row = prefix.row
-        value = row[final] if dag.accepting[w] else None
+        tail = branching and dag.paths[w] == 1
+        if tail:
+            if w not in tails:
+                kept_rows += _enter_tail(dag, memo, w, tails)
+                _check_kept(kept_rows, width)
+            suffix, rest = tails[w]
+            value = suffix.price(parent.row, word[-1])
+            word += rest
+        else:
+            prefix = parent.child(word[-1])
+            row = prefix.row
+            value = row[final] if dag.accepting[w] else None
         if value is not None:
             least = min(least, value)
-        if dag.children[w]:
+        if dag.children[w] and not tail:
             shifted = np.inf
             for other in kept[w]:
                 scanned += width
                 # Rows are finite: every model state is reachable, and a log move keeps each entry.
-                shifted = other[1] + (row - other[0]).max()
+                np.subtract(row, other[0], out=diff)
+                shifted = other[1] + diff.max()
                 if shifted <= best:
                     break
             if scanned > SCAN_CAP:
@@ -790,24 +892,49 @@ def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[
                 )
             if shifted <= best:
                 up[1] = max(up[1], shifted)
-                up[2] = min(up[2], other[2] + (row - other[0]).min())
+                up[2] = min(up[2], other[2] + diff.min())
                 continue
             kept_rows += 1
-            if kept_rows * width > PRODUCT_CAP:
-                raise CapExceeded(
-                    f"upper-bound walk keeps {kept_rows} rows x {width} model states, over the product cap ({PRODUCT_CAP})"
-                )
+            _check_kept(kept_rows, width)
             entry = [row, -np.inf, np.inf] if value is None else [row, value, value]
             kept[w].append(entry)
             stack.append((entry, None, w, up))
             stack.extend((prefix, word + (label,), child, entry) for label, child in reversed(dag.children[w]))
         else:
-            # A walk node without children holds the full ideal.
+            # A tail, or a walk node without children, which holds the full ideal.
             up[1] = max(up[1], value)
             up[2] = min(up[2], value)
         if value is not None and value > best:
             best, winner = value, word
     return int(best), winner, int(least) if root[2] == least else None
+
+
+def _enter_tail(dag: WordDag, memo: _PrefixMemo, w: int, tails: dict[int, tuple[_Suffix, tuple[str, ...]]]) -> int:
+    """Enter the tail walk node ``w`` and the walk nodes after it in
+    ``tails``, each with the suffix node of its one completion and that
+    completion: follow it to its accepting walk node, then prepend its
+    labels to the empty suffix, last first. Returns how many of the new
+    suffix rows the memo did not store."""
+    path = []
+    while w not in tails and not dag.accepting[w]:
+        (label, child), = dag.children[w]
+        path.append((w, label))
+        w = child
+    suffix, rest = tails.setdefault(w, (memo.end, ()))
+    unstored = 0
+    for w, label in reversed(path):
+        suffix, rest = suffix.child(label), (label,) + rest
+        tails[w] = suffix, rest
+        unstored += not suffix.stored
+    return unstored
+
+
+def _check_kept(rows: int, width: int) -> None:
+    """Raise unless ``rows`` rows held by one walk fit :data:`PRODUCT_CAP`."""
+    if rows * width > PRODUCT_CAP:
+        raise CapExceeded(
+            f"upper-bound walk keeps {rows} rows x {width} model states, over the product cap ({PRODUCT_CAP})"
+        )
 
 
 def upper_bound(
@@ -904,8 +1031,8 @@ def log_bounds(
     edge; case and event ids reach none of them. A trace whose key was seen
     uncapped reuses that result. A capped shape is not kept, so each capped
     trace is searched again and its error names its own case. Traces of
-    different shapes share one prefix memo, so a word prefix that any
-    trace spelled before is not relaxed again.
+    different shapes share one memo, so a word prefix or suffix that any
+    trace relaxed before is not relaxed again.
     """
     moves = _model_structures(model, cost)
     memo = _PrefixMemo(moves, cost)

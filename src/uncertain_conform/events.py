@@ -227,12 +227,14 @@ class WordDag:
     ``children[w]`` lists (symbol, child) in sorted symbol order, so a walk
     that takes the children in that order, each word before its extensions,
     spells each distinct word once, in lexicographic order. ``accepting[w]``
-    tells whether w holds the full ideal. ``count`` is the number of
-    accepting paths from walk node 0: the number of distinct words.
+    tells whether w holds the full ideal. ``paths[w]`` is the number of
+    accepting paths from w: the number of distinct completions of a prefix
+    that reaches w. ``count`` is ``paths[0]``, the number of distinct words.
     """
 
     children: list[list[tuple[str, int]]]
     accepting: list[bool]
+    paths: list[int]
     count: int
 
 
@@ -288,7 +290,7 @@ def word_dag(lattice: Lattice, cap: int, cap_message: str, owner: str) -> WordDa
         paths[w] = accepting[w] + sum(paths[c] for _, c in children[w])
     if paths[0] > cap:
         raise CapExceeded(cap_message)
-    return WordDag(children, accepting, paths[0])
+    return WordDag(children, accepting, paths, paths[0])
 
 
 def linear_words(dag: WordDag) -> Iterator[tuple[str, ...]]:

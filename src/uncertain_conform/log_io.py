@@ -49,12 +49,9 @@ _JSON_EVENT_KEYS = frozenset({"id", "activities", "t_min", "t_max", "indetermina
 
 _NS_PER_SECOND = 10**9
 _EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
 
-_TIMESTAMP_RE = re.compile(
-    r"(\d{4})-(\d{2})-(\d{2})[T ](\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,9}))?(?:Z|\+00:00)", re.ASCII
-)
-
-_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}[T ]\d{2}:\d{2}:\d{2}(?:\.(\d{1,9}))?(?:Z|\+00:00)", re.ASCII)
 
 Source = Union[str, Path, bytes, io.IOBase]
 
@@ -63,26 +60,19 @@ def parse_timestamp(text: str) -> int:
     """UTC ISO-8601 ("Z" or "+00:00") to integer nanoseconds since the epoch.
 
     Years run from 1 to 9999 (proleptic Gregorian), seconds from 0 to 59; a
-    field out of range is rejected like a malformed stamp.
+    field out of range is rejected like a malformed stamp. The pattern sets
+    the shape and admits ASCII digits only; ``datetime`` reads the fields.
     """
-    m = _TIMESTAMP_RE.fullmatch(text.strip())
-    if m is None:
+    stamp = text.strip()
+    m = _TIMESTAMP_RE.fullmatch(stamp)
+    try:
+        moment = datetime.fromisoformat(stamp[:19]) if m else None
+    except ValueError:
+        moment = None
+    if moment is None:
         raise ValidationError(f"not a UTC ISO-8601 timestamp: {text!r}")
-    *fields, fraction = m.groups()
-    year, month, day, hour, minute, second = map(int, fields)
-    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-    if not (
-        year and 1 <= month <= 12 and 1 <= day <= _MONTH_DAYS[month - 1] + leap
-        and hour < 24 and minute < 60 and second < 60
-    ):
-        raise ValidationError(f"not a UTC ISO-8601 timestamp: {text!r}")
-    # Days from 1970-01-01 (H. Hinnant's days_from_civil), with March as month 0.
-    year -= month <= 2
-    era, year_of_era = divmod(year, 400)
-    day_of_year = (153 * (month + 9 if month <= 2 else month - 3) + 2) // 5 + day - 1
-    days = era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year - 719468
-    nanos = int(fraction.ljust(9, "0")) if fraction else 0
-    return (days * 86400 + hour * 3600 + minute * 60 + second) * _NS_PER_SECOND + nanos
+    nanos = int(m[1].ljust(9, "0")) if m[1] else 0
+    return (moment - _EPOCH) // _SECOND * _NS_PER_SECOND + nanos
 
 
 def format_timestamp(ns: int) -> str:
@@ -185,7 +175,9 @@ def log_from_dict(doc: dict) -> UncertainLog:
         events = []
         for j, raw in enumerate(_expect(raw_trace.get("events", []), list, f"{context}: 'events'")):
             events.append(_event_from_dict(raw, context, j))
-            unknown += len(raw.keys() - _JSON_EVENT_KEYS)
+            # An event that has its four required fields and no more has no unknown one.
+            if len(raw) > 4:
+                unknown += len(raw.keys() - _JSON_EVENT_KEYS)
         traces.append(UncertainTrace(case_id, tuple(events)))
     if unknown:
         warnings.warn(f"dropped {unknown} unrecognized event attribute(s) while loading", stacklevel=2)

@@ -628,13 +628,14 @@ class TestReachabilityGraph:
             align.reachability_graph(sn)
 
 
-def closure_by_bellman_ford(moves, row):
+def closure_by_bellman_ford(moves, row, backward=False):
     """``row`` closed under the model's edges one edge at a time, in passes
-    until a pass changes nothing."""
+    until a pass changes nothing; ``backward`` turns every edge round."""
     rg = moves.rg
     weights = [moves.weight(label) for label in rg.labels]
     row = row.tolist()
-    edges = list(zip(rg.src.tolist(), rg.tr.tolist(), rg.dst.tolist()))
+    src, dst = (rg.dst, rg.src) if backward else (rg.src, rg.dst)
+    edges = list(zip(src.tolist(), rg.tr.tolist(), dst.tolist()))
     changed = True
     while changed:
         changed = False
@@ -669,6 +670,19 @@ class TestModelMoveSweeps:
             moves.relax(relaxed, start)
             assert relaxed.tolist() == closure_by_bellman_ford(moves, row), start
 
+    @pytest.mark.parametrize("size, seed", [(4, 0), (10, 2), (20, 0), (25, 1)])
+    @pytest.mark.parametrize("costs", [(1, 1), (2, 3), (1, 0)])
+    def test_back_relax_is_the_backward_edge_closure(self, size, seed, costs):
+        moves = align._model_structures(random_block_net(size, f"sweep{seed}"), CostFunction(*costs))
+        assert len(moves.sweeps) < moves.depth  # composed sweeps, read backwards
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            row = rng.integers(0, 2 * moves.depth, moves.rg.n).astype(float)
+            row[rng.random(moves.rg.n) < 0.3] = np.inf
+            relaxed = row.copy()
+            moves.back_relax(relaxed)
+            assert relaxed.tolist() == closure_by_bellman_ford(moves, row, backward=True)
+
     @pytest.mark.parametrize("name", sorted(CYCLIC_MODELS))
     def test_cyclic_models_keep_one_sweep_per_level(self, name):
         moves = align._model_structures(_cyclic_net(*CYCLIC_MODELS[name]), CostFunction(1, 2))
@@ -680,6 +694,9 @@ class TestModelMoveSweeps:
             relaxed = row.copy()
             moves.relax(relaxed)
             assert relaxed.tolist() == closure_by_bellman_ford(moves, row)
+            relaxed = row.copy()
+            moves.back_relax(relaxed)
+            assert relaxed.tolist() == closure_by_bellman_ford(moves, row, backward=True)
 
 
 class TestMemory:
@@ -844,19 +861,41 @@ def cyclic_models_and_traces(draw, max_events: int = 4):
     return model, draw(uncertain_traces(max_events=max_events, alphabet=("a", "b", "c", "x")))
 
 
+def walk_plan(dag):
+    """What a walk that drops no prefix does: (prefixes it spells forward,
+    tails it prices). A tail is a prefix whose walk node has one
+    completion, when the DAG spells more than one word; the walk prices it
+    and spells none of its extensions."""
+    forward = priced = 0
+    todo = [0]
+    while todo:
+        for _, child in dag.children[todo.pop()]:
+            if dag.paths[child] == 1 < dag.count:
+                priced += 1
+            else:
+                forward += 1
+                todo.append(child)
+    return forward, priced
+
+
 def walk_kind(trace, model, cost):
     """How the upper-bound walk meets the trace: "chain" (the lattice has one
-    maximal path, and no walk runs), "unpruned" (it visits every prefix),
+    maximal path, and no walk runs), "unpruned" (it drops no prefix: it
+    spells forward and prices every prefix of :func:`walk_plan`),
     "certified" (it drops some and still proves the least cost) or "fallback"."""
     if all(len(edges) <= 1 for edges in events.trace_lattice(trace)):
         return "chain"
-    visited = []
-    real = align._Prefix.child
+    calls = collections.Counter()
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+        return mock.patch.object(cls, name, lambda self, *args: calls.update([name]) or real(self, *args))
+
     memo = align._PrefixMemo(align._model_structures(model, cost), cost)
-    with mock.patch.object(align._Prefix, "child", lambda self, label: visited.append(label) or real(self, label)):
-        _, _, least = align._costliest_realization(events.realization_dag(trace), memo)
-    prefixes = {word[:k] for word in realizations(trace) for k in range(1, len(word) + 1)}
-    if len(visited) == len(prefixes):
+    dag = events.realization_dag(trace)
+    with counted(align._Prefix, "child"), counted(align._Suffix, "price"):
+        _, _, least = align._costliest_realization(dag, memo)
+    if (calls["child"], calls["price"]) == walk_plan(dag):
         assert least is not None  # nothing dropped: every realization was aligned
         return "unpruned"
     return "fallback" if least is None else "certified"
@@ -864,8 +903,8 @@ def walk_kind(trace, model, cost):
 
 #: Two traces on ``event_net(["a", "b", "c"])`` whose walks drop a prefix;
 #: both have bounds (2, 4). Only the first walk proves its least cost.
-CERTIFIED = (certain_event("e0", "a", 0), certain_event("e1", "a", 0), UncertainEvent("e2", {"a", "b"}, 0, 0))
-UNCERTIFIED = (certain_event("e0", "a", 0), certain_event("e1", "a", 1), UncertainEvent("e2", {"a", "b"}, 0, 0))
+CERTIFIED = (certain_event("e0", "b", 0), UncertainEvent("e1", {"a", "b"}, 0, 0), UncertainEvent("e2", {"a", "b"}, 0, 0))
+UNCERTIFIED = (certain_event("e0", "a", 0), UncertainEvent("e1", {"a", "b"}, 1, 1), UncertainEvent("e2", {"a", "b"}, 1, 1))
 
 
 class TestCertifiedLowerBound:
@@ -1013,20 +1052,28 @@ class TestPrefixMemo:
         model = event_net(["a", "b", "c"])
         prepare_model(model)
         relaxed = []
-        real = align._ModelMoves.relax
-        monkeypatch.setattr(align._ModelMoves, "relax", lambda self, *args: relaxed.append(args) or real(self, *args))
+        for name in ("relax", "back_relax"):
+            real = getattr(align._ModelMoves, name)
+            monkeypatch.setattr(
+                align._ModelMoves, name, lambda self, *args, real=real: relaxed.append(args) or real(self, *args)
+            )
 
         def relaxes(*traces):
             relaxed.clear()
             log_bounds(UncertainLog(traces), model)
             return len(relaxed)
 
-        # Overlapping events: its walk spells a, ab, b and ba.
+        # Overlapping events: its walk prices ab and ba from the suffixes b
+        # and a, closed backwards; the lattice search spells a and b and the
+        # full ideal, and the upper witness the costlier word, ba.
         both = UncertainTrace("both", (UncertainEvent("x", {"a"}, 0, 1), UncertainEvent("y", {"b"}, 1, 2)))
         ab = UncertainTrace("ab", (certain_event("ab.a", "a", 0), certain_event("ab.b", "b", 1)))
         ba = UncertainTrace("ba", (certain_event("ba.b", "b", 0), certain_event("ba.a", "a", 1)))
         assert relaxes(ab) == relaxes(ba) == 2
-        assert relaxes(both, ab, ba) == relaxes(both) > 0
+        assert relaxes(both) == 6
+        assert relaxes(both, ba) == relaxes(both)
+        # Of ab, only its last step was not spelled before.
+        assert relaxes(both, ab, ba) == relaxes(both) + 1
         with monkeypatch.context() as budget:
             budget.setattr(align, "MEMO_CELLS", 0)
             assert relaxes(both, ab, ba) == relaxes(both) + 4
@@ -1057,6 +1104,121 @@ class TestPrefixMemo:
         assert abb.stored is False and ab.child("b") is not abb
         assert ab.child("b").row.tolist() == abb.row.tolist()
         assert a.child(None) is a
+
+
+@st.composite
+def models_and_words(draw, max_len: int = 5):
+    """A random block net or a cyclic model, and a word over its labels (with noise)."""
+    if draw(st.booleans()):
+        model = random_block_net(draw(st.integers(1, 10)), f"suffix{draw(st.integers(0, 10**6))}")
+    else:
+        model = _cyclic_net(*CYCLIC_MODELS[draw(st.sampled_from(sorted(CYCLIC_MODELS)))])
+    alphabet = sorted(set(model.net.labels.values())) + ["noise"]
+    return model, tuple(draw(st.lists(st.sampled_from(alphabet), max_size=max_len)))
+
+
+def forward_costs(moves, log_cost, word):
+    """Per model state v, the cost of aligning ``word`` from v to the final
+    marking by the forward kernel: a unit row at v relaxed, then one
+    _transfer and relax per label, read at the final marking."""
+    costs = []
+    for v in range(moves.rg.n):
+        row = np.full(moves.rg.n, np.inf)
+        row[v] = 0.0
+        moves.relax(row)
+        for label in word:
+            step = np.full(moves.rg.n, np.inf)
+            moves.relax(step, align._transfer(step, row, label, moves, log_cost))
+            row = step
+        costs.append(row[moves.rg.final])
+    return costs
+
+
+def suffix_node(memo, word):
+    node = memo.end
+    for label in reversed(word):
+        node = node.child(label)
+    return node
+
+
+class TestSuffixRows:
+    """Suffix rows, closed backwards, hold the forward kernel's costs, and
+    the upper-bound walk relaxes a tail's suffix once, backwards."""
+
+    @given(models_and_words(), st.sampled_from([(1, 1), (2, 1), (1, 3), (1, 0)]), st.integers(0, 4))
+    @settings(max_examples=120, deadline=None)
+    def test_suffix_row_is_the_forward_cost_from_each_state(self, model_and_word, costs, cut):
+        model, word = model_and_word
+        cost = CostFunction(*costs)
+        moves = align._model_structures(model, cost)
+        memo = align._PrefixMemo(moves, cost)
+        assert suffix_node(memo, word).row.tolist() == forward_costs(moves, float(cost.log_move), word)
+        if word:
+            # The junction of a prefix's forward row and the rest's suffix row.
+            cut = min(cut, len(word) - 1)
+            prefix = memo.root
+            for label in word[:cut]:
+                prefix = prefix.child(label)
+            price = suffix_node(memo, word[cut + 1:]).price(prefix.row, word[cut])
+            assert price == align._align(align._chain(word), moves, cost, witness=False)[0]
+
+    @pytest.mark.parametrize("model", [random_block_net(size, f"sweep{size}") for size in (3, 12, 25)]
+                             + [_cyclic_net(*CYCLIC_MODELS[name]) for name in sorted(CYCLIC_MODELS)])
+    @pytest.mark.parametrize("costs", [(1, 1), (1, 3), (1, 0)])
+    def test_final_row_is_the_distance_to_the_final_marking(self, model, costs):
+        moves = align._model_structures(model, CostFunction(*costs))
+        unit = np.full(moves.rg.n, np.inf)
+        unit[moves.rg.final] = 0.0
+        moves.back_relax(unit)
+        assert unit.tolist() == moves.final_row.tolist() == forward_costs(moves, float(costs[0]), ())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tail_is_relaxed_once_backwards(self, monkeypatch, k):
+        # Both realizations share the walk node after e0, whose one completion
+        # is the k certain events: the walk relaxes that suffix backwards and
+        # prices both words from the root's row. Walking forward made
+        # 2 (k + 1) relaxes.
+        labels = ["a", "b", "c", "d", "e"]
+        model = event_net(labels)
+        prepare_model(model)
+        trace = UncertainTrace("t", (UncertainEvent("e0", {"a", "x"}, 0, 0),) + tuple(
+            certain_event(f"e{i}", labels[i + 1], i) for i in range(1, k + 1)
+        ))
+        log = UncertainLog((trace,))
+        calls = collections.Counter()
+        for name in ("relax", "back_relax"):
+            real = getattr(align._ModelMoves, name)
+            monkeypatch.setattr(
+                align._ModelMoves, name, lambda self, *args, name=name, real=real: calls.update([name]) or real(self, *args)
+            )
+        report = log_bounds(log, model, witnesses=False).reports[0]
+        assert (calls["relax"], calls["back_relax"]) == (0, k)
+        monkeypatch.undo()
+        assert report == dataclasses.replace(log_bounds(log, model).reports[0], lower_witness=None, upper_witness=None)
+        costs = [optimal_alignment(word, model).cost for word in realizations(trace)]
+        assert (report.lower_cost, report.upper_cost, report.realization_count) == (min(costs), max(costs), 2)
+        assert min(costs) < max(costs)
+
+    def test_suffix_rows_the_memo_does_not_store_count_as_kept_rows(self, monkeypatch):
+        model = event_net(["a", "b", "c", "d"])  # 5 states
+        trace = UncertainTrace("t", (UncertainEvent("e0", {"a", "x"}, 0, 0), certain_event("e1", "b", 1),
+                                     certain_event("e2", "c", 2)))
+        dag = events.realization_dag(trace)
+        moves = align._model_structures(model, STANDARD_COST)
+
+        def walk():
+            return align._costliest_realization(dag, align._PrefixMemo(moves, STANDARD_COST))
+
+        # The walk keeps the root's row; the memo stores the suffixes c and bc.
+        monkeypatch.setattr(align, "PRODUCT_CAP", 5)
+        expected = walk()
+        # Without a budget, the walk holds both suffix rows itself.
+        monkeypatch.setattr(align, "MEMO_CELLS", 0)
+        monkeypatch.setattr(align, "PRODUCT_CAP", 14)
+        with pytest.raises(CapExceeded, match=r"upper-bound walk keeps 3 rows x 5 model states.*product cap \(14\)"):
+            walk()
+        monkeypatch.setattr(align, "PRODUCT_CAP", 15)
+        assert walk() == expected
 
 
 class TestBenchmarkHooks:
