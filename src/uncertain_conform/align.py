@@ -5,10 +5,10 @@ reachable markings. The trace side is the lattice of order ideals of the
 trace's timestamp order for the lower bound (:func:`events.trace_lattice`,
 the behavior net's reachability graph built without the net) and a plain
 chain for one realization.
-One forward DP in topological order of the trace side fills two tables of
-trace node x model state: ``pre`` after the move that consumed the node's
-in-edge, ``post`` after the model moves that follow. This is a uniform-cost
-search in disguise: no heuristic, exact costs.
+One forward DP in topological order of the trace side fills one table of
+trace node x model state, ``post``: each node's entry row (after a move
+that consumes one of its in-edges) closed under the model moves that
+follow. This is a uniform-cost search in disguise: no heuristic, exact costs.
 
 The model's reachable markings are explored breadth-first as int32 rows of
 token counts, one layer at a time, each held once, as a key of the dict
@@ -24,11 +24,12 @@ closed rows by log moves and trace-side skips is closed; a synchronous
 landing opens it only past its target, so a relax starts at the level after
 the shallowest synchronous target just reached, if any.
 
-The witness walks the tables backwards. Each model-move segment is a
-breadth-first walk back over tight in-edges (``post[u] + cost == post[x]``)
-to the nearest state with ``pre == post``, ties going to the in-edge listed
-first (source state, then transition id); the transfer before it is a
-synchronous move, else a trace-side skip, else a log move.
+The witness walks the table backwards and rebuilds each visited node's
+entry row ``pre``. Each model-move segment is a breadth-first walk back over
+tight in-edges (``post[u] + cost == post[x]``) to the nearest state with
+``pre == post``, ties going to the in-edge listed first (source state, then
+transition id); the transfer before it is a synchronous move, else a
+trace-side skip, else a log move.
 
 Every search runs in :func:`_align`. The lower bound is one search over the
 lattice. The upper bound walks the lattice's subset construction
@@ -63,7 +64,7 @@ the model moves in front of the next label and the suffix row those after
 it, so the junction needs no closure. Each suffix is relaxed once per call,
 however many prefixes end in it. :func:`log_bounds` shares both tries
 across its traces.
-Memory is linear in the model's edges plus the two tables or the kept rows,
+Memory is linear in the model's edges plus the one table or the kept rows,
 which :data:`PRODUCT_CAP` bounds, plus the tries, which stop storing rows
 at :data:`MEMO_CELLS` cells; set-up adds the markings, freed once the graph
 is built. :data:`events.STATE_CAP` bounds the model's states, each lattice
@@ -90,8 +91,11 @@ from .events import (
 )
 from .petri import SystemNet
 
-#: Cells (trace-side states x model states) of one alignment's two float64 tables.
+#: Cells (trace-side states x model states) of one alignment's float64 table.
 PRODUCT_CAP = 30_000_000
+
+#: Float64 rows hold integer costs exactly below 2**53.
+COST_LIMIT = 2**53
 
 #: Cells (rows x model states) of closed rows one call's prefix memo stores.
 MEMO_CELLS = 2**16
@@ -335,6 +339,7 @@ class _ModelMoves:
 
     def __init__(self, rg: ReachabilityGraph, cost: CostFunction):
         self.rg = rg
+        self.log_cost = float(cost.log_move)
         self.model_cost = float(cost.model_move)
         self.cyclic = rg.cyclic
         self.depth = int(rg.level.max()) + 1
@@ -544,9 +549,8 @@ class _PrefixMemo:
     results do not depend on the budget.
     """
 
-    def __init__(self, moves: _ModelMoves, cost: CostFunction):
+    def __init__(self, moves: _ModelMoves):
         self.moves = moves
-        self.log_cost = float(cost.log_move)
         self.free = MEMO_CELLS
         self.root = _Prefix(self, moves.initial_row)
         self.end = _Suffix(self, moves.final_row)
@@ -588,7 +592,7 @@ class _Prefix(_Node):
     def _step(self, label: str) -> np.ndarray:
         moves = self.memo.moves
         row = np.full(moves.rg.n, np.inf)
-        moves.relax(row, _transfer(row, self.row, label, moves, self.memo.log_cost))
+        moves.relax(row, _transfer(row, self.row, label, moves))
         return row
 
 
@@ -604,63 +608,53 @@ class _Suffix(_Node):
         """The cost of the words whose closed forward row is ``row``,
         followed by ``label`` and σ. ``row`` holds the model moves before
         ``label``, so the junction needs no closure."""
-        memo = self.memo
-        value = (row + self.row).min() + memo.log_cost
-        sync = memo.moves.sync.get(label)
+        moves = self.memo.moves
+        value = (row + self.row).min() + moves.log_cost
+        sync = moves.sync.get(label)
         if sync is not None:
             sources, targets, _ = sync
             value = min(value, (row[sources] + self.row[targets]).min())
         return value
 
     def _step(self, label: str) -> np.ndarray:
-        memo = self.memo
-        row = self.row + memo.log_cost
-        sync = memo.moves.sync.get(label)
+        moves = self.memo.moves
+        row = self.row + moves.log_cost
+        sync = moves.sync.get(label)
         if sync is not None:
             # A log move leaves the row closed; a synchronous move opens it at its sources.
             sources, targets, _ = sync
             np.minimum.at(row, sources, self.row[targets])
-            memo.moves.back_relax(row)
+            moves.back_relax(row)
         return row
 
 
 def _align(
-    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction, witness: bool = True,
-    memo: _PrefixMemo | None = None,
+    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, witness: bool = True, memo: _PrefixMemo | None = None
 ) -> tuple[int, Alignment | None]:
     """The optimal alignment cost of an acyclic trace side against the model
     and its witness (None when ``witness`` is false); every search runs here,
     reading closed rows from ``memo`` where it can."""
-    pre, post = _forward(in_edges, moves, cost, witness, memo)
-    if not witness:
-        return int(post[-1, moves.rg.final]), None
-    alignment = _witness(in_edges, pre, post, moves, cost)
-    return alignment.cost, alignment
+    post = _forward(in_edges, moves, memo)
+    cost = _exact(post[-1, moves.rg.final])
+    return cost, Alignment(_witness(in_edges, post, moves), cost) if witness else None
 
 
-def _forward(
-    in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, cost: CostFunction, witness: bool = True,
-    memo: _PrefixMemo | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _forward(in_edges: Sequence[Sequence[tuple]], moves: _ModelMoves, memo: _PrefixMemo | None = None) -> np.ndarray:
     """Cheapest product runs of an acyclic trace side and the model.
 
     Trace nodes are numbered topologically: node 0 is the initial node, the
     only one without in-edges, and the last node is final. ``in_edges[b]``
     holds (source, label, _) triples, where a None label is a free
     trace-side skip (an indeterminate event left out).
-    ``pre[b, v]`` is the cheapest cost of reaching trace node b with the
-    model at v by a move that consumes b's in-edge; ``post[b, v]`` adds the
-    model moves that follow.
+    ``post[b, v]`` is the cheapest cost of reaching trace node b with the
+    model at v, the model moves after b's in-edge included: b's entry row
+    (:func:`_entry_row`), closed.
     A node with one in-edge from a node whose one path from node 0 spells a
-    word spells that word plus its label, and takes ``post`` from ``memo``;
-    its ``pre``, which only the witness reads, is filled when ``witness``.
+    word spells that word plus its label, and takes its row from ``memo``.
     """
     rg = moves.rg
     _check_cells(len(in_edges), rg)
-    log_cost = float(cost.log_move)
-    pre = np.full((len(in_edges), rg.n), np.inf)
-    post = np.empty_like(pre)
-    pre[0, rg.initial] = 0.0
+    post = np.empty((len(in_edges), rg.n))
     post[0] = moves.initial_row
     # The stored memo prefix of each node with one path from node 0, else None.
     prefixes: list[_Prefix | None] = [None if memo is None else memo.root] + [None] * (len(in_edges) - 1)
@@ -670,17 +664,24 @@ def _forward(
             prefix = prefixes[src].child(label)
             post[b] = prefix.row
             # A prefix the memo did not store leads to no stored row; holding
-            # its row until the end would add a third table.
+            # its row until the end would add a second table.
             prefixes[b] = prefix if prefix.stored else None
-            if witness:
-                _transfer(pre[b], post[src], label, moves, log_cost)
             continue
-        start = moves.depth
-        for src, label, _ in in_edges[b]:
-            start = min(start, _transfer(pre[b], post[src], label, moves, log_cost))
-        post[b] = pre[b]
-        moves.relax(post[b], start)
-    return pre, post
+        moves.relax(post[b], _entry_row(post[b], in_edges[b], post, moves))
+    return post
+
+
+def _entry_row(row: np.ndarray, edges: Sequence[tuple], post: np.ndarray, moves: _ModelMoves) -> int:
+    """Fill ``row`` with the cheapest costs of entering a trace node by one of
+    its in-edges ``edges`` from their sources' rows of ``post`` (node 0, which
+    has none, at the initial marking); returns the level to relax it from."""
+    row.fill(np.inf)
+    if not edges:
+        row[moves.rg.initial] = 0.0
+    start = moves.depth
+    for src, label, _ in edges:
+        start = min(start, _transfer(row, post[src], label, moves))
+    return start
 
 
 def _check_cells(nodes: int, rg: ReachabilityGraph) -> None:
@@ -693,13 +694,21 @@ def _check_cells(nodes: int, rg: ReachabilityGraph) -> None:
         )
 
 
-def _transfer(acc: np.ndarray, base: np.ndarray, label: str | None, moves: _ModelMoves, log_cost: float) -> int:
+def _exact(value: float) -> int:
+    """A cost read off a row, as an int; raises at :data:`COST_LIMIT`. Costs are nonnegative
+    integers, so a value below it is exact, and one whose true cost is not stays at or above it."""
+    if value >= COST_LIMIT:
+        raise CapExceeded(f"alignment cost reaches 2**53 ({COST_LIMIT}), past which float64 costs are not exact")
+    return int(value)
+
+
+def _transfer(acc: np.ndarray, base: np.ndarray, label: str | None, moves: _ModelMoves) -> int:
     """Fold one trace-side step from the closed row ``base`` into ``acc``: the
     log move on ``label`` (a free skip when None), then its synchronous
     landings. Returns the level from which ``moves.relax`` must close the
     result: rows built from closed rows by log moves and skips stay closed,
     and a synchronous landing opens them only past its targets."""
-    np.minimum(acc, base + (0.0 if label is None else log_cost), out=acc)
+    np.minimum(acc, base + (0.0 if label is None else moves.log_cost), out=acc)
     sync = moves.sync.get(label)
     if sync is None:
         return moves.depth
@@ -708,34 +717,35 @@ def _transfer(acc: np.ndarray, base: np.ndarray, label: str | None, moves: _Mode
     return level
 
 
-def _witness(
-    in_edges: Sequence[Sequence[tuple]], pre: np.ndarray, post: np.ndarray, moves: _ModelMoves, cost: CostFunction
-) -> Alignment:
-    """The alignment behind the tables of :func:`_forward`, ending at the last trace node.
+def _witness(in_edges: Sequence[Sequence[tuple]], post: np.ndarray, moves: _ModelMoves) -> tuple[Move, ...]:
+    """The moves of the alignment behind :func:`_forward`'s table, ending at the last trace node.
 
     Walks backwards, peeling one model-move segment and then the transfer
-    (sync, log move or trace-side skip) before it, until the initial node.
+    (sync, log move or trace-side skip) before it, until the initial node;
+    each node's entry row is rebuilt into one row by :func:`_entry_row`.
     Trace-side skips cost nothing and leave no move: the witness relates the
     chosen realization to the model.
     """
-    log_cost = float(cost.log_move)
+    pre = np.empty(moves.rg.n)
     moves_rev: list[Move] = []
     b, v = len(in_edges) - 1, moves.rg.final
     while True:
-        u, path = moves.segment(pre[b], post[b], v)
+        _entry_row(pre, in_edges[b], post, moves)
+        u, path = moves.segment(pre, post[b], v)
         moves_rev.extend(reversed(path))
         if not in_edges[b]:
             break
-        b, v, move = _step_back(in_edges[b], u, pre[b, u], post, moves.rg, log_cost)
+        b, v, move = _step_back(in_edges[b], u, pre[u], post, moves)
         if move is not None:
             moves_rev.append(move)
-    return Alignment(tuple(reversed(moves_rev)), int(post[-1, moves.rg.final]))
+    return tuple(reversed(moves_rev))
 
 
 def _step_back(
-    in_edges: Sequence[tuple], u: int, value: float, post: np.ndarray, rg: ReachabilityGraph, log_cost: float
+    in_edges: Sequence[tuple], u: int, value: float, post: np.ndarray, moves: _ModelMoves
 ) -> tuple[int, int, Move | None]:
     """The transfer that reached model node ``u`` at cost ``value``: (source, model source, move)."""
+    rg = moves.rg
     # Tie-break order: synchronous, then trace-side skip, then log move.
     for src, label, _ in in_edges:
         if label is not None:
@@ -746,7 +756,7 @@ def _step_back(
         if label is None and post[src, u] == value:
             return src, u, None
     for src, label, _ in in_edges:
-        if label is not None and post[src, u] + log_cost == value:
+        if label is not None and post[src, u] + moves.log_cost == value:
             return src, u, Move(label, None, None)
     raise AssertionError("witness reconstruction found no producing move")
 
@@ -764,7 +774,7 @@ def optimal_alignment(
     Deterministic for fixed inputs. Raises if the model's final marking is
     unreachable. The empty trace aligns through model moves alone.
     """
-    return _align(_chain(tuple(trace)), _model_structures(model, cost), cost)[1]
+    return _align(_chain(tuple(trace)), _model_structures(model, cost))[1]
 
 
 def _trace_side(lattice: Lattice) -> list[list[tuple[int, str | None, int]]]:
@@ -792,7 +802,7 @@ def lower_bound(
     """
     in_edges = _trace_side(trace_lattice(trace) if lattice is None else lattice)
     moves = _model_structures(model, cost)
-    return _align(in_edges, moves, cost, witness, _PrefixMemo(moves, cost) if memo is None else memo)
+    return _align(in_edges, moves, witness, _PrefixMemo(moves) if memo is None else memo)
 
 
 def lower_bound_bruteforce(
@@ -807,7 +817,7 @@ def lower_bound_bruteforce(
     """
     moves = _model_structures(model, cost)
     # Traces are nonempty, so at least one realization exists.
-    return min(_align(_chain(seq), moves, cost, witness=False)[0] for seq in iter_realizations(trace, caps))
+    return min(_align(_chain(seq), moves, witness=False)[0] for seq in iter_realizations(trace, caps))
 
 
 def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[str, ...], int | None]:
@@ -906,7 +916,7 @@ def _costliest_realization(dag: WordDag, memo: _PrefixMemo) -> tuple[int, tuple[
             up[2] = min(up[2], value)
         if value is not None and value > best:
             best, winner = value, word
-    return int(best), winner, int(least) if root[2] == least else None
+    return _exact(best), winner, int(least) if root[2] == least else None
 
 
 def _enter_tail(dag: WordDag, memo: _PrefixMemo, w: int, tails: dict[int, tuple[_Suffix, tuple[str, ...]]]) -> int:
@@ -954,9 +964,9 @@ def upper_bound(
     from the same search as the lower bound's.
     """
     moves = _model_structures(model, cost)
-    memo = _PrefixMemo(moves, cost)
+    memo = _PrefixMemo(moves)
     _, word, _ = _costliest_realization(realization_dag(trace, caps), memo)
-    return _align(_chain(word), moves, cost, memo=memo)
+    return _align(_chain(word), moves, memo=memo)
 
 
 @dataclass(frozen=True)
@@ -1010,7 +1020,7 @@ def log_bounds(
 
     Each trace's lattice of order ideals is built once and serves both
     bounds. A lattice with one maximal path (no node with two out-edges)
-    spells one realization whose chain tables are the lower bound's, so its
+    spells one realization whose chain table is the lower bound's, so its
     upper bound and witness are the lower ones. When only the upper side
     caps, the lower bound is still reported. Both totals sum the same
     traces: those whose upper bound was computed. A capped row counts in
@@ -1035,7 +1045,7 @@ def log_bounds(
     trace relaxed before is not relaxed again.
     """
     moves = _model_structures(model, cost)
-    memo = _PrefixMemo(moves, cost)
+    memo = _PrefixMemo(moves)
     shapes: dict[LatticeKey, tuple[int, int, Alignment | None, Alignment | None, int]] = {}
     reports: list[BoundsReport] = []
     total_lower = 0
@@ -1066,7 +1076,7 @@ def log_bounds(
                     else:
                         low, low_witness = lower_bound(trace, model, cost, lattice, witnesses, memo)
                     count = dag.count
-                    up_witness = _align(_chain(word), moves, cost, memo=memo)[1] if witnesses else None
+                    up_witness = _align(_chain(word), moves, memo=memo)[1] if witnesses else None
             except CapExceeded as exc:
                 reports.append(BoundsReport(trace.case_id, low, None, low_witness, None, None, str(exc)))
                 continue

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .events import EnumerationCaps, UncertainEvent, UncertainTrace, _by_id, _ideals, linear_words, word_dag
+from .events import EnumerationCaps, UncertainEvent, UncertainTrace, _by_id, linear_words, order_ideals, word_dag
 from .petri import Marking, PetriNet, SystemNet
 
 START = "start"
@@ -60,7 +60,7 @@ def topological_sortings(
     vertices = sorted(bg.events)
     bit = {v: 1 << i for i, v in enumerate(vertices)}
     preds = [sum(bit[u] for u, w in bg.edges if w == v) for v in vertices]
-    lattice = _ideals(preds, list(enumerate(vertices)), "graph")
+    lattice = order_ideals(preds, list(enumerate(vertices)), "graph")
     message = f"graph has more sortings than the sorting cap ({caps.max_realizations})"
     return list(linear_words(word_dag(lattice, caps.max_realizations, message, "graph")))
 

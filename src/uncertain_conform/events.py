@@ -23,6 +23,7 @@ walks it with one alignment row per prefix.
 """
 from __future__ import annotations
 
+import numbers
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -59,8 +60,11 @@ class EnumerationCaps:
     max_realizations: int = 1_000_000
 
     def __post_init__(self):
-        if self.max_realizations < 1:
-            raise ValidationError(f"max_realizations must be at least 1, got {self.max_realizations}")
+        value = self.max_realizations
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValidationError(f"max_realizations must be an integer, not {value!r}")
+        if value < 1:
+            raise ValidationError(f"max_realizations must be at least 1, got {value}")
 
     @classmethod
     def from_env(cls) -> "EnumerationCaps":
@@ -176,7 +180,7 @@ def precedes(e: UncertainEvent, e2: UncertainEvent) -> bool:
     return e.t_max < e2.t_min
 
 
-def order_ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], cap: int, owner: str) -> Lattice:
+def order_ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], owner: str) -> Lattice:
     """Out-edges of the lattice of order ideals of a strict partial order.
 
     Element i may be placed once every element of the bitmask ``preds[i]`` is;
@@ -184,8 +188,8 @@ def order_ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], 
     Nodes are the placed-element bitmasks, numbered breadth-first from the
     empty ideal; node v's out-edges are (element, symbol, target) in the order
     of ``steps``. Every edge places one element, so the numbering is
-    topological and the full ideal comes last. More than ``cap`` nodes, or
-    more than :data:`EDGE_CAP` edges, raise CapExceeded naming ``owner``.
+    topological and the full ideal comes last. More than :data:`STATE_CAP`
+    nodes or :data:`EDGE_CAP` edges raise CapExceeded naming ``owner``.
     """
     moves = [(1 << i, preds[i], i, symbol) for i, symbol in steps]
     index = {0: 0}
@@ -198,8 +202,8 @@ def order_ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], 
             if placed & bit or p & placed != p:
                 continue
             if (nxt := placed | bit) not in index:
-                if len(masks) >= cap:
-                    raise CapExceeded(f"{owner} has more order ideals than the state cap ({cap})")
+                if len(masks) >= STATE_CAP:
+                    raise CapExceeded(f"{owner} has more order ideals than the state cap ({STATE_CAP})")
                 index[nxt] = len(masks)
                 masks.append(nxt)
             edges.append((i, symbol, index[nxt]))
@@ -211,11 +215,6 @@ def order_ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], 
                 f" {size} edges from {len(out)} of the {len(masks)} order ideals found"
             )
     return out
-
-
-def _ideals(preds: Sequence[int], steps: Sequence[tuple[int, str | None]], owner: str) -> Lattice:
-    """:func:`order_ideals` under :data:`STATE_CAP`; the error names ``owner``."""
-    return order_ideals(preds, steps, STATE_CAP, owner)
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,7 @@ def trace_lattice(trace: UncertainTrace, key: LatticeKey | None = None) -> Latti
     their index.
     """
     preds, steps = lattice_key(trace) if key is None else key
-    return _ideals(preds, steps, f"trace {trace.case_id!r}")
+    return order_ideals(preds, steps, f"trace {trace.case_id!r}")
 
 
 def order_realizations(
@@ -365,7 +364,7 @@ def order_realizations(
     caps = caps or EnumerationCaps.from_env()
     owner = f"trace {trace.case_id!r}"
     events, preds = _by_id(trace)
-    lattice = _ideals(preds, [(i, e.id) for i, e in enumerate(events)], owner)
+    lattice = order_ideals(preds, [(i, e.id) for i, e in enumerate(events)], owner)
     message = f"{owner} has more orderings than the realization cap ({caps.max_realizations})"
     return list(linear_words(word_dag(lattice, caps.max_realizations, message, owner)))
 

@@ -161,6 +161,26 @@ class TestOptimalAlignment:
         with pytest.raises(ValidationError, match=message):
             CostFunction(*costs)
 
+    def test_costs_reaching_2_53_are_capped_not_rounded(self):
+        # Rows are float64: 2**53 - 2 plus a model move is the exact 2**53 - 1,
+        # but 2**53 + 1 plus one would round to 2**53, not the moves' 2**53 + 2.
+        model = event_net(["a"])
+        below = CostFunction(2**53 - 2, 1)
+        alignment = optimal_alignment(["b"], model, below)
+        assert alignment.cost == sum(m.cost(below) for m in alignment.moves) == 2**53 - 1
+        over = CostFunction(2**53 + 1, 1)
+        with pytest.raises(CapExceeded, match=r"2\*\*53 \(9007199254740992\)"):
+            optimal_alignment(["b"], model, over)
+        chain = UncertainTrace("chain", (certain_event("e", "b", 0),))
+        # Realizations a (cost 0) and b: only the walk's upper bound reaches the limit.
+        branching = UncertainTrace("branching", (UncertainEvent("f", frozenset({"a", "b"}), 0, 0),))
+        with pytest.raises(CapExceeded, match=r"2\*\*53"):
+            upper_bound(branching, model, over)
+        for witnesses in (True, False):
+            low, high = log_bounds(UncertainLog((chain, branching)), model, over, witnesses=witnesses).reports
+            assert (low.lower_cost, low.upper_cost, high.lower_cost, high.upper_cost) == (None, None, 0, None)
+            assert "2**53" in low.error and "2**53" in high.error
+
 
 class TestMoveAndAlignmentEncoding:
     def test_move_json_markers(self):
@@ -311,7 +331,7 @@ class TestLogBounds:
     def test_builds_each_trace_lattice_once(self, monkeypatch):
         built = []
         real = events.order_ideals
-        monkeypatch.setattr(events, "order_ideals", lambda *args: built.append(args[3].split()[1]) or real(*args))
+        monkeypatch.setattr(events, "order_ideals", lambda *args: built.append(args[2].split()[1]) or real(*args))
         log = UncertainLog((
             running_example(),
             UncertainTrace("c", (certain_event("s", "Adm", 1),)),
@@ -719,7 +739,7 @@ class TestMemory:
         # the edge arrays and the sweeps; a second copy of the markings and
         # prebuilt in-edge lists took set-up to 6.2 MiB.
         assert setup < 4 * 2**20
-        # The witnesses' in-edge lists (about 1.2 MB) and the tables.
+        # The witnesses' in-edge lists (about 1.2 MB) and the search tables.
         assert search < 4 * 2**20
 
     def test_costs_alone_leave_the_in_edges_unbuilt(self):
@@ -746,7 +766,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         table = len(trace) * align.reachability_graph(model).n * 8  # about 4 MB
-        assert peak < 2.2 * table + 8 * budget
+        assert peak < 1.2 * table + 8 * budget
 
 
 #: Enough language firings for every model of TestBruteForceAgreement.
@@ -783,7 +803,7 @@ def first_costliest(trace, model, cost):
     moves = align._model_structures(model, cost)
     worst = None
     for seq in events.iter_realizations(trace):
-        seq_cost, alignment = align._align(align._chain(seq), moves, cost)
+        seq_cost, alignment = align._align(align._chain(seq), moves)
         if worst is None or seq_cost > worst[0]:
             worst = seq_cost, alignment
     return worst[1]
@@ -823,7 +843,7 @@ class TestUpperBoundWalk:
         prefixes = {word[:k] for word in realizations(trace) for k in range(1, len(word) + 1)}
         visited = []
         real = align._Prefix.child
-        memo = align._PrefixMemo(align._model_structures(model, cost), cost)
+        memo = align._PrefixMemo(align._model_structures(model, cost))
         with mock.patch.object(align._Prefix, "child", lambda self, label: visited.append(label) or real(self, label)):
             up, word, least = align._costliest_realization(events.realization_dag(trace), memo)
         # Only instances where the walk drops some prefix, with its subtree.
@@ -891,7 +911,7 @@ def walk_kind(trace, model, cost):
         real = getattr(cls, name)
         return mock.patch.object(cls, name, lambda self, *args: calls.update([name]) or real(self, *args))
 
-    memo = align._PrefixMemo(align._model_structures(model, cost), cost)
+    memo = align._PrefixMemo(align._model_structures(model, cost))
     dag = events.realization_dag(trace)
     with counted(align._Prefix, "child"), counted(align._Suffix, "price"):
         _, _, least = align._costliest_realization(dag, memo)
@@ -1038,7 +1058,7 @@ class TestPrefixMemo:
             alone = lower_bound(t, model, cost)
             assert (report.lower_cost, report.lower_witness) == alone
             # The same search without a memo.
-            assert alone == align._align(align._trace_side(events.trace_lattice(t)), moves, cost)
+            assert alone == align._align(align._trace_side(events.trace_lattice(t)), moves)
             assert (report.upper_cost, report.upper_witness) == upper_bound(t, model, cost)
         bare = log_bounds(log, model, cost, witnesses=False)
         assert bare.reports == tuple(
@@ -1081,10 +1101,10 @@ class TestPrefixMemo:
     def test_rows_are_read_only(self):
         model = event_net(["a", "b"])
         moves = align._model_structures(model, STANDARD_COST)
-        memo = align._PrefixMemo(moves, STANDARD_COST)
+        memo = align._PrefixMemo(moves)
         stored = memo.root.child("a")
         with mock.patch.object(align, "MEMO_CELLS", 0):
-            unstored = align._PrefixMemo(moves, STANDARD_COST).root.child("a")
+            unstored = align._PrefixMemo(moves).root.child("a")
         assert memo.root.child("a") is stored
         assert unstored.row.tolist() == stored.row.tolist()
         for row in (memo.root.row, stored.row, unstored.row, moves.initial_row):
@@ -1095,7 +1115,7 @@ class TestPrefixMemo:
         model = event_net(["a", "b"])  # 3 states
         moves = align._model_structures(model, STANDARD_COST)
         monkeypatch.setattr(align, "MEMO_CELLS", 2 * moves.rg.n)
-        memo = align._PrefixMemo(moves, STANDARD_COST)
+        memo = align._PrefixMemo(moves)
         a = memo.root.child("a")
         ab = a.child("b")
         abb = ab.child("b")
@@ -1117,7 +1137,7 @@ def models_and_words(draw, max_len: int = 5):
     return model, tuple(draw(st.lists(st.sampled_from(alphabet), max_size=max_len)))
 
 
-def forward_costs(moves, log_cost, word):
+def forward_costs(moves, word):
     """Per model state v, the cost of aligning ``word`` from v to the final
     marking by the forward kernel: a unit row at v relaxed, then one
     _transfer and relax per label, read at the final marking."""
@@ -1128,7 +1148,7 @@ def forward_costs(moves, log_cost, word):
         moves.relax(row)
         for label in word:
             step = np.full(moves.rg.n, np.inf)
-            moves.relax(step, align._transfer(step, row, label, moves, log_cost))
+            moves.relax(step, align._transfer(step, row, label, moves))
             row = step
         costs.append(row[moves.rg.final])
     return costs
@@ -1151,8 +1171,8 @@ class TestSuffixRows:
         model, word = model_and_word
         cost = CostFunction(*costs)
         moves = align._model_structures(model, cost)
-        memo = align._PrefixMemo(moves, cost)
-        assert suffix_node(memo, word).row.tolist() == forward_costs(moves, float(cost.log_move), word)
+        memo = align._PrefixMemo(moves)
+        assert suffix_node(memo, word).row.tolist() == forward_costs(moves, word)
         if word:
             # The junction of a prefix's forward row and the rest's suffix row.
             cut = min(cut, len(word) - 1)
@@ -1160,7 +1180,7 @@ class TestSuffixRows:
             for label in word[:cut]:
                 prefix = prefix.child(label)
             price = suffix_node(memo, word[cut + 1:]).price(prefix.row, word[cut])
-            assert price == align._align(align._chain(word), moves, cost, witness=False)[0]
+            assert price == align._align(align._chain(word), moves, witness=False)[0]
 
     @pytest.mark.parametrize("model", [random_block_net(size, f"sweep{size}") for size in (3, 12, 25)]
                              + [_cyclic_net(*CYCLIC_MODELS[name]) for name in sorted(CYCLIC_MODELS)])
@@ -1170,7 +1190,7 @@ class TestSuffixRows:
         unit = np.full(moves.rg.n, np.inf)
         unit[moves.rg.final] = 0.0
         moves.back_relax(unit)
-        assert unit.tolist() == moves.final_row.tolist() == forward_costs(moves, float(costs[0]), ())
+        assert unit.tolist() == moves.final_row.tolist() == forward_costs(moves, ())
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_tail_is_relaxed_once_backwards(self, monkeypatch, k):
@@ -1207,7 +1227,7 @@ class TestSuffixRows:
         moves = align._model_structures(model, STANDARD_COST)
 
         def walk():
-            return align._costliest_realization(dag, align._PrefixMemo(moves, STANDARD_COST))
+            return align._costliest_realization(dag, align._PrefixMemo(moves))
 
         # The walk keeps the root's row; the memo stores the suffixes c and bc.
         monkeypatch.setattr(align, "PRODUCT_CAP", 5)
@@ -1247,6 +1267,22 @@ class TestBenchmarkHooks:
         log_bounds(UncertainLog((running_example(),)), model)
         assert graphs == []
         assert moves == []
+
+    def test_internal_callers_do_not_go_through_prepare_model(self, monkeypatch):
+        # The tracer wraps ``align.prepare_model`` to count set-up once; a
+        # search that called it would count the model's states per trace.
+        model = event_net(["NightSweats", "PrTP", "Splenomeg", "Adm"])
+        prepare_model(model)
+
+        def prepare_again(*args):
+            raise AssertionError("prepare_model called after set-up")
+
+        monkeypatch.setattr(align, "prepare_model", prepare_again)
+        trace = running_example()
+        log_bounds(UncertainLog((trace,)), model)
+        lower_bound(trace, model)
+        upper_bound(trace, model)
+        optimal_alignment(["NightSweats", "Adm"], model)
 
     def test_traced_functions_are_module_attributes(self):
         for name in ("optimal_alignment", "prepare_model", "iter_realizations"):

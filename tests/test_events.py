@@ -158,14 +158,18 @@ class TestCaps:
             EnumerationCaps.from_env()
 
     @pytest.mark.parametrize("form", ["N", "max_realizations"])
-    @pytest.mark.parametrize("value", [0, -1])
+    # Unchecked, NaN would turn the cap off, True would read as "realization
+    # cap (True)", and "5" would raise TypeError.
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), True, 2.5, "5"])
     def test_cap_below_one_rejected(self, monkeypatch, form, value):
         if form == "max_realizations":
             with pytest.raises(ValidationError, match=form):
                 EnumerationCaps(max_realizations=value)
         else:
-            monkeypatch.setenv(CAP_ENV_VAR, f"{value},5")
-            with pytest.raises(ValidationError, match="N must be at least 1"):
+            # The variable's text: "'5'" for the string, since "5" is a valid N.
+            monkeypatch.setenv(CAP_ENV_VAR, f"{value!r},5")
+            message = "N must be at least 1" if type(value) is int else "must be an integer"
+            with pytest.raises(ValidationError, match=message):
                 EnumerationCaps.from_env()
 
     def test_cap_of_one_accepted(self, monkeypatch):
