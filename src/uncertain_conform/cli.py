@@ -45,27 +45,13 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_fractions(text: str, n: int, flag: str) -> tuple[float, ...]:
+def _parse_list(text: str, flag: str, kind: type, n: int | None = None) -> tuple:
+    """The comma-separated values of ``flag``, each read by ``kind``; exactly ``n`` of them unless ``n`` is None."""
     parts = text.split(",")
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise ValidationError(f"{flag} expects {n} comma-separated fractions, got {text!r}")
     try:
-        values = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ValidationError(f"{flag}: {exc}") from exc
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"{flag}: {exc}") from exc
-
-
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(kind(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"{flag}: {exc}") from exc
 
@@ -95,70 +81,62 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from .synthesis import DeviationConfig, UncertaintyConfig, deviate, playout, random_block_net, uncertainize
+    from .synthesis import DeviationConfig, UncertaintyConfig, generate
 
-    d_a, d_s, d_d = _parse_fractions(args.deviation, 3, "--deviation")
-    u_a, u_t, u_i = _parse_fractions(args.uncertainty, 3, "--uncertainty")
-    model = random_block_net(args.net_size, args.seed)
-    universe = sorted(model.net.labels.values())
-    log = playout(model, args.traces, args.seed)
-    log = deviate(log, DeviationConfig(d_a, d_s, d_d), universe, args.seed)
-    uncertain = uncertainize(log, UncertaintyConfig(u_a, u_t, u_i), universe, args.seed)
+    deviation = _parse_list(args.deviation, "--deviation", float, 3)
+    uncertainty = _parse_list(args.uncertainty, "--uncertainty", float, 3)
+    model, log = generate(args.net_size, args.traces, DeviationConfig(*deviation), UncertaintyConfig(*uncertainty), args.seed)
     Path(args.out_net).write_bytes(save_net(model))
-    Path(args.out_log).write_bytes(save_log(uncertain, format="json"))
+    Path(args.out_log).write_bytes(save_log(log, format="json"))
+    return EXIT_OK
+
+
+def _experiment(args, run, fields: list[str], **knobs) -> int:
+    """Write the CSV of ``run`` on the spec of ``knobs`` and the shared ``exp-*`` flags."""
+    from .experiments import ExperimentSpec
+
+    spec = ExperimentSpec(n_traces=args.traces, repetitions=args.reps, seed=str(args.seed), **knobs)
+    _write_csv(fields, ([row[f] for f in fields] for row in run(spec)), args.out)
     return EXIT_OK
 
 
 def cmd_exp_divergence(args) -> int:
-    from .experiments import ExperimentSpec, run_divergence
+    from .experiments import run_divergence
 
-    spec = ExperimentSpec(
+    return _experiment(
+        args, run_divergence, ["p", "deviation_config", "uncertainty_config", "mean_lower", "mean_upper"],
         net_sizes=(args.net_size,),
-        n_traces=args.traces,
-        repetitions=args.reps,
-        ps=_parse_float_list(args.ps, "--ps"),
-        deviation_names=tuple(args.deviation_config),
-        uncertainty_names=tuple(args.uncertainty_config),
-        seed=str(args.seed),
+        ps=_parse_list(args.ps, "--ps", float),
+        deviation_names=tuple(args.deviation_config or ["extra"]),
+        uncertainty_names=tuple(args.uncertainty_config or ["indeterminate"]),
     )
-    fields = ["p", "deviation_config", "uncertainty_config", "mean_lower", "mean_upper"]
-    _write_csv(fields, ([row[f] for f in fields] for row in run_divergence(spec)), args.out)
-    return EXIT_OK
 
 
 def cmd_exp_performance(args) -> int:
-    from .experiments import ExperimentSpec, run_performance
+    from .experiments import run_performance
 
-    spec = ExperimentSpec(
-        net_sizes=_parse_int_list(args.sizes, "--sizes"),
-        n_traces=args.traces,
-        repetitions=args.reps,
-        ps=(args.p,),
-        seed=str(args.seed),
+    def run(spec):
+        rows = run_performance(spec)
+        for row in rows:
+            if row["mean_seconds"] != "timeout":
+                row["mean_seconds"] = f"{row['mean_seconds']:.6f}"
+        return rows
+
+    return _experiment(
+        args, run, ["n", "method", "mean_seconds"],
+        net_sizes=_parse_list(args.sizes, "--sizes", int), ps=(args.p,), uncertainty_names=(args.uncertainty_config,),
     )
-    rows = run_performance(spec, p=args.p, uncertainty_name=args.uncertainty_config)
-    for row in rows:
-        if row["mean_seconds"] != "timeout":
-            row["mean_seconds"] = f"{row['mean_seconds']:.6f}"
-    fields = ["n", "method", "mean_seconds"]
-    _write_csv(fields, ([row[f] for f in fields] for row in rows), args.out)
-    return EXIT_OK
 
 
 def cmd_exp_realizations(args) -> int:
-    from .experiments import ExperimentSpec, run_realizations
+    from .experiments import run_realizations
 
-    spec = ExperimentSpec(
-        net_sizes=_parse_int_list(args.sizes, "--sizes"),
-        n_traces=args.traces,
-        repetitions=args.reps,
-        ps=_parse_float_list(args.ps, "--ps"),
-        seed=str(args.seed),
+    return _experiment(
+        args, lambda spec: run_realizations(spec, args.sweep), ["x", "mean_realizations"],
+        net_sizes=_parse_list(args.sizes, "--sizes", int),
+        ps=_parse_list(args.ps, "--ps", float),
+        uncertainty_names=(args.uncertainty_config,),
     )
-    rows = run_realizations(spec, sweep=args.sweep, uncertainty_name=args.uncertainty_config)
-    fields = ["x", "mean_realizations"]
-    _write_csv(fields, ([row[f] for f in fields] for row in rows), args.out)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,10 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out-net", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_div = sub.add_parser("exp-divergence", help="bound divergence as uncertainty grows")
+    # The flags every experiment takes; they fill ExperimentSpec's n_traces, repetitions and seed.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--traces", type=int, default=50)
+    shared.add_argument("--reps", type=int, default=3)
+    shared.add_argument("--seed", default="0")
+    shared.add_argument("--out", help="CSV output path (default: stdout)")
+
+    p_div = sub.add_parser("exp-divergence", parents=[shared], help="bound divergence as uncertainty grows")
     p_div.add_argument("--net-size", type=int, default=10)
-    p_div.add_argument("--traces", type=int, default=50)
-    p_div.add_argument("--reps", type=int, default=3)
     p_div.add_argument("--ps", default="0,0.04,0.08,0.12,0.16")
     p_div.add_argument(
         "--deviation-config", action="append", choices=DEVIATION_NAMES,
@@ -199,29 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--uncertainty-config", action="append", choices=UNCERTAINTY_NAMES,
         help="repeatable; default: indeterminate",
     )
-    p_div.add_argument("--seed", default="0")
-    p_div.add_argument("--out")
     p_div.set_defaults(func=cmd_exp_divergence)
 
-    p_perf = sub.add_parser("exp-performance", help="one-search (method behavior_net) vs brute-force lower bound timing")
+    p_perf = sub.add_parser(
+        "exp-performance", parents=[shared], help="one-search (method behavior_net) vs brute-force lower bound timing"
+    )
     p_perf.add_argument("--sizes", default="5,10,15,20")
-    p_perf.add_argument("--traces", type=int, default=50)
-    p_perf.add_argument("--reps", type=int, default=3)
     p_perf.add_argument("--p", type=float, default=0.05)
     p_perf.add_argument("--uncertainty-config", choices=UNCERTAINTY_NAMES, default="all")
-    p_perf.add_argument("--seed", default="0")
-    p_perf.add_argument("--out")
     p_perf.set_defaults(func=cmd_exp_performance)
 
-    p_real = sub.add_parser("exp-realizations", help="realization counts vs p or net size")
+    p_real = sub.add_parser("exp-realizations", parents=[shared], help="realization counts vs p or net size")
     p_real.add_argument("--sweep", choices=["p", "size"], default="p")
     p_real.add_argument("--sizes", default="10")
-    p_real.add_argument("--traces", type=int, default=50)
-    p_real.add_argument("--reps", type=int, default=3)
     p_real.add_argument("--ps", default="0,0.04,0.08,0.12,0.16")
     p_real.add_argument("--uncertainty-config", choices=UNCERTAINTY_NAMES, default="all")
-    p_real.add_argument("--seed", default="0")
-    p_real.add_argument("--out")
     p_real.set_defaults(func=cmd_exp_realizations)
 
     return parser
@@ -230,11 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "exp-divergence":
-        if not args.deviation_config:
-            args.deviation_config = ["extra"]
-        if not args.uncertainty_config:
-            args.uncertainty_config = ["indeterminate"]
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:

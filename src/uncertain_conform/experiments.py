@@ -14,7 +14,7 @@ from statistics import mean
 from .align import STANDARD_COST, lower_bound, lower_bound_bruteforce, log_bounds, prepare_model
 from .errors import CapExceeded, ValidationError
 from .events import count_realizations
-from .synthesis import DeviationConfig, UncertaintyConfig, deviate, playout, random_block_net, uncertainize
+from .synthesis import DeviationConfig, UncertaintyConfig, generate
 
 #: Named deviation presets (30% per affected kind, matching the experiment setup).
 DEVIATION_PRESETS: dict[str, DeviationConfig] = {
@@ -42,7 +42,15 @@ def uncertainty_config(kind: str, p: float) -> UncertaintyConfig:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Shared knobs for the three experiments."""
+    """Shared knobs for the three experiments.
+
+    All three read ``n_traces``, ``repetitions`` and ``seed``.
+    ``run_divergence`` sweeps ``deviation_names`` × ``uncertainty_names`` ×
+    ``ps`` at ``net_sizes[0]``. ``run_performance`` sweeps ``net_sizes`` at
+    ``ps[0]`` and ``uncertainty_names[0]``, without deviations.
+    ``run_realizations`` reads ``uncertainty_names[0]``, without deviations,
+    and sweeps ``ps`` at ``net_sizes[0]`` or ``net_sizes`` at ``ps[0]``.
+    """
 
     net_sizes: tuple[int, ...] = (10,)
     n_traces: int = 50
@@ -65,14 +73,12 @@ class ExperimentSpec:
                 raise ValidationError(f"unknown uncertainty kind {name!r} (expected one of {UNCERTAINTY_KINDS})")
 
 
-def _base_log(spec: ExperimentSpec, size: int, deviation_name: str, rep: int):
-    """Net and deviated certain log for a cell; independent of p by design."""
+def _cell(spec: ExperimentSpec, size: int, deviation_name: str, uncertainty_name: str, p: float, rep: int):
+    """Net and uncertain log of one cell. The seed leaves out p, so sweeping p keeps the net and play-out."""
     cell_seed = f"{spec.seed}|{size}|{deviation_name}|{rep}"
-    model = random_block_net(size, cell_seed)
-    universe = sorted(model.net.labels.values())
-    log = playout(model, spec.n_traces, cell_seed)
-    log = deviate(log, DEVIATION_PRESETS[deviation_name], universe, cell_seed)
-    return model, universe, log, cell_seed
+    return generate(
+        size, spec.n_traces, DEVIATION_PRESETS[deviation_name], uncertainty_config(uncertainty_name, p), cell_seed
+    )
 
 
 def run_divergence(spec: ExperimentSpec) -> list[dict]:
@@ -88,8 +94,7 @@ def run_divergence(spec: ExperimentSpec) -> list[dict]:
                 lowers: list[float] = []
                 uppers: list[float] = []
                 for rep in range(spec.repetitions):
-                    model, universe, log, cell_seed = _base_log(spec, spec.net_sizes[0], deviation_name, rep)
-                    uncertain = uncertainize(log, uncertainty_config(uncertainty_name, p), universe, cell_seed)
+                    model, uncertain = _cell(spec, spec.net_sizes[0], deviation_name, uncertainty_name, p, rep)
                     result = log_bounds(uncertain, model, STANDARD_COST, witnesses=False)
                     done = [r for r in result.reports if r.error is None]
                     if not done:
@@ -111,7 +116,7 @@ def run_divergence(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-def run_performance(spec: ExperimentSpec, p: float = 0.05, uncertainty_name: str = "all") -> list[dict]:
+def run_performance(spec: ExperimentSpec) -> list[dict]:
     """Wall-clock comparison of the one-search and brute-force lower bounds.
 
     The one search runs over the behavior net's state space (the lattice of
@@ -127,8 +132,7 @@ def run_performance(spec: ExperimentSpec, p: float = 0.05, uncertainty_name: str
         brute_times: list[float] = []
         timed_out = False
         for rep in range(spec.repetitions):
-            model, universe, log, cell_seed = _base_log(spec, size, "none", rep)
-            uncertain = uncertainize(log, uncertainty_config(uncertainty_name, p), universe, cell_seed)
+            model, uncertain = _cell(spec, size, "none", spec.uncertainty_names[0], spec.ps[0], rep)
             prepare_model(model, STANDARD_COST)  # shared precomputation outside both clocks
             for trace in uncertain:
                 start = time.perf_counter()
@@ -147,17 +151,11 @@ def run_performance(spec: ExperimentSpec, p: float = 0.05, uncertainty_name: str
                         f" behavior net {behavior_cost}, brute force {brute_cost}"
                     )
         rows.append({"n": size, "method": "behavior_net", "mean_seconds": mean(behavior_times)})
-        rows.append(
-            {
-                "n": size,
-                "method": "brute_force",
-                "mean_seconds": "timeout" if timed_out else mean(brute_times),
-            }
-        )
+        rows.append({"n": size, "method": "brute_force", "mean_seconds": "timeout" if timed_out else mean(brute_times)})
     return rows
 
 
-def run_realizations(spec: ExperimentSpec, sweep: str = "p", uncertainty_name: str = "all") -> list[dict]:
+def run_realizations(spec: ExperimentSpec, sweep: str = "p") -> list[dict]:
     """Total realization count per log, averaged over repetitions.
 
     Rows: x, mean_realizations, where x sweeps p (at the first net size) or
@@ -174,8 +172,7 @@ def run_realizations(spec: ExperimentSpec, sweep: str = "p", uncertainty_name: s
     for size, p in points:
         counts: list[int] = []
         for rep in range(spec.repetitions):
-            model, universe, log, cell_seed = _base_log(spec, size, "none", rep)
-            uncertain = uncertainize(log, uncertainty_config(uncertainty_name, p), universe, cell_seed)
+            _, uncertain = _cell(spec, size, "none", spec.uncertainty_names[0], p, rep)
             counts.append(count_realizations(uncertain))
         rows.append({"x": p if sweep == "p" else size, "mean_realizations": mean(counts)})
     return rows

@@ -283,8 +283,6 @@ def uncertainize(
 
             if _uniform(seed, "unc-activity", ti, ei) < cfg.activity:
                 pool = [a for a in universe if a != timed.activity]
-                if not pool:
-                    raise ValidationError("activity uncertainty needs a second label to draw from")
                 extra = pool[_rng(seed, "unc-activity-pick", ti, ei).randrange(len(pool))]
                 activities.add(extra)
 
@@ -312,3 +310,17 @@ def uncertainize(
             )
         traces.append(UncertainTrace(trace.case_id, tuple(events)))
     return UncertainLog(tuple(traces))
+
+
+# ---------------------------------------------------------------------------
+# The whole pipeline
+
+
+def generate(
+    n_transitions: int, n_traces: int, deviation: DeviationConfig, uncertainty: UncertaintyConfig, seed
+) -> tuple[SystemNet, UncertainLog]:
+    """A random block net and an uncertain log of it: play-out, deviations, then uncertainty, all on ``seed``."""
+    model = random_block_net(n_transitions, seed)
+    universe = sorted(model.net.labels.values())
+    log = deviate(playout(model, n_traces, seed), deviation, universe, seed)
+    return model, uncertainize(log, uncertainty, universe, seed)

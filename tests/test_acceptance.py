@@ -209,9 +209,10 @@ class TestPerformanceOrdering:
             n_traces=50,
             repetitions=3,
             ps=(0.05,),
+            uncertainty_names=("all",),
             seed="acceptance-performance",
         )
-        rows = run_performance(spec, p=0.05, uncertainty_name="all")
+        rows = run_performance(spec)
         times = {"behavior_net": [], "brute_force": []}
         for row in rows:
             assert row["mean_seconds"] != "timeout", f"brute force capped at n={row['n']}"
@@ -235,9 +236,10 @@ class TestRealizationGrowth:
             n_traces=n_traces,
             repetitions=3,
             ps=(0.0, 0.04, 0.08, 0.12, 0.16),
+            uncertainty_names=("all",),
             seed="acceptance-realizations",
         )
-        rows = run_realizations(spec, sweep="p", uncertainty_name="all")
+        rows = run_realizations(spec, sweep="p")
         counts = [row["mean_realizations"] for row in rows]
         assert counts[0] == n_traces
         for smaller, larger in zip(counts, counts[1:]):

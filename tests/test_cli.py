@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -391,6 +392,54 @@ class TestExperimentCommands:
         ])
         assert code == 0
         assert out.read_text().startswith("x,mean_realizations")
+
+
+class TestExperimentOutputIsPinned:
+    """SHA-256 of each experiment's CSV at small sizes; ``exp-performance`` with its timings blanked."""
+
+    @pytest.mark.parametrize("args, sha256", [
+        (["exp-divergence", "--net-size", "5", "--ps", "0,0.2", "--deviation-config", "extra",
+          "--deviation-config", "all", "--uncertainty-config", "indeterminate", "--uncertainty-config", "all"],
+         "d8a8620fb151461515304de4b99ed56e1743ba5e601f28a0d7708cab4876263c"),
+        (["exp-realizations", "--sizes", "5", "--ps", "0,0.1,0.3"],
+         "ae2bffabbef29a0cc781730cb124b7f6ffb842fffc1f9521623803e813f1d4b3"),
+        (["exp-realizations", "--sweep", "size", "--sizes", "4,6", "--ps", "0.2", "--uncertainty-config", "timestamps"],
+         "8c27f3e37a84fadf8e3f44d6ae4b18f3011299f611290cfe87118d9e6272d422"),
+    ], ids=["divergence", "realizations-p", "realizations-size"])
+    def test_csv_is_pinned(self, args, sha256, capsys):
+        assert main([*args, "--traces", "6" if args[0] == "exp-divergence" else "5", "--reps", "2", "--seed", "pin"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == sha256
+
+    @pytest.mark.parametrize("cap, expected", [
+        (None, ["4,behavior_net,", "4,brute_force,", "6,behavior_net,", "6,brute_force,"]),
+        ("1,1", ["4,behavior_net,", "4,brute_force,timeout", "6,behavior_net,", "6,brute_force,timeout"]),
+    ])
+    def test_performance_rows_are_pinned(self, cap, expected, capsys, monkeypatch):
+        if cap is not None:
+            monkeypatch.setenv(CAP_ENV_VAR, cap)
+        assert main([
+            "exp-performance", "--sizes", "4,6", "--traces", "4", "--reps", "2", "--p", "0.2",
+            "--uncertainty-config", "activities", "--seed", "pin",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n,method,mean_seconds"
+        assert [re.sub(r",\d+\.\d{6}$", ",", line) for line in lines[1:]] == expected
+
+    @pytest.mark.parametrize("args, message", [
+        (["exp-divergence", "--ps", "0,x"], "--ps: could not convert string to float: 'x'"),
+        (["exp-realizations", "--ps", "0;1"], "--ps: could not convert string to float: '0;1'"),
+        (["exp-performance", "--sizes", "4,y"], "--sizes: invalid literal for int() with base 10: 'y'"),
+        (["exp-realizations", "--sizes", "4,", "--ps", "0"], "--sizes: invalid literal for int() with base 10: ''"),
+        (["gen", "--deviation", "0.5,0"], "--deviation expects 3 comma-separated fractions, got '0.5,0'"),
+        (["gen", "--deviation", "0.1,z,0"], "--deviation: could not convert string to float: 'z'"),
+        (["gen", "--uncertainty", "0,0,0,0"], "--uncertainty expects 3 comma-separated fractions, got '0,0,0,0'"),
+    ])
+    def test_malformed_list_message(self, args, message, tmp_path, capsys):
+        if args[0] == "gen":
+            args = [*args, "--out-log", str(tmp_path / "l.json"), "--out-net", str(tmp_path / "n.json")]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
 
 
 def option_choices(command: str, flag: str) -> list[str]:

@@ -1,4 +1,5 @@
 """Serialization: timestamps, JSON/XES logs, JSON nets."""
+import io
 import json
 import re
 from datetime import datetime, timedelta
@@ -202,6 +203,17 @@ class TestJsonLog:
         with pytest.raises(ValidationError, match="is a number, not"):
             load_log(json.dumps(doc).encode(), "json")
 
+    def test_document_without_traces_rejected(self):
+        with pytest.raises(ValidationError, match="log document has no 'traces' field"):
+            load_log(b'{"schema_version": "1.0"}', "json")
+
+    @pytest.mark.parametrize("field", ["id", "activities", "t_min", "t_max"])
+    def test_missing_event_field_names_it(self, field):
+        doc = json.loads(self.one_event())
+        del doc["traces"][0]["events"][0][field]
+        with pytest.raises(ValidationError, match=f"trace 'c': event is missing field '{field}'"):
+            load_log(json.dumps(doc).encode(), "json")
+
     def test_unknown_attributes_warn(self):
         doc = {"traces": [{"case_id": "c", "events": [
             {"id": "e", "activities": ["a"], "t_min": "1970-01-01T00:00:00Z",
@@ -215,6 +227,26 @@ class TestJsonLog:
     def test_random_round_trip(self, trace):
         log = UncertainLog((trace,))
         assert load_log(save_log(log, "json"), "json") == log
+
+
+class TestSources:
+    @pytest.mark.parametrize("fmt", ["json", "xes"])
+    def test_file_objects_read(self, fmt):
+        log = UncertainLog((running_example(),))
+        data = save_log(log, fmt)
+        assert load_log(io.BytesIO(data), fmt) == log
+        assert load_log(io.StringIO(data.decode("utf-8")), fmt) == log
+
+    def test_net_file_object_read(self):
+        sn = event_net(["a", "b"])
+        assert save_net(load_net(io.BytesIO(save_net(sn)))) == save_net(sn)
+
+    def test_unsupported_format_rejected(self):
+        log = UncertainLog((running_example(),))
+        with pytest.raises(ValidationError, match="unsupported log format 'csv' \\(expected 'json' or 'xes'\\)"):
+            save_log(log, "csv")
+        with pytest.raises(ValidationError, match="unsupported log format 'csv' \\(expected 'json' or 'xes'\\)"):
+            load_log(save_log(log, "json"), "csv")
 
 
 class TestXesLog:
@@ -282,6 +314,41 @@ class TestXesLog:
         with pytest.raises(ValidationError, match="malformed"):
             load_log(b"<log><trace>", "xes")
 
+    def test_root_other_than_log_rejected(self):
+        with pytest.raises(ValidationError, match="expected <log> root element, found <trace>"):
+            load_log(b"<trace/>", "xes")
+
+    @staticmethod
+    def one_event(*attributes: str) -> bytes:
+        body = "".join(attributes)
+        return f'<log><trace><string key="concept:name" value="c"/><event>{body}</event></trace></log>'.encode()
+
+    @pytest.mark.parametrize("key", [XES_KEY_TIME_MIN, XES_KEY_TIME_MAX])
+    def test_one_interval_endpoint_rejected(self, key):
+        data = self.one_event(
+            '<string key="concept:name" value="a"/>',
+            '<date key="time:timestamp" value="2020-01-01T00:00:00Z"/>',
+            f'<date key="{key}" value="2020-01-01T00:00:00Z"/>',
+        )
+        with pytest.raises(ValidationError, match="trace 'c': event 'c:e1' needs both interval endpoints"):
+            load_log(data, "xes")
+
+    def test_event_without_timestamp_rejected(self):
+        data = self.one_event('<string key="concept:name" value="a"/>')
+        with pytest.raises(ValidationError, match="trace 'c': event 'c:e1' has no timestamp information"):
+            load_log(data, "xes")
+
+    def test_unknown_attributes_warn(self):
+        data = self.one_event(
+            '<string key="concept:name" value="a"/>',
+            '<date key="time:timestamp" value="2020-01-01T00:00:00Z"/>',
+            '<string key="org:resource" value="nurse"/>',
+            '<int key="cost" value="3"/>',
+        )
+        with pytest.warns(UserWarning, match="dropped 2 unrecognized event attribute"):
+            log = load_log(data, "xes")
+        assert log.traces[0].events[0].activities == frozenset({"a"})
+
     # A point event carries only time:timestamp; the interval bounds take over from it otherwise.
     @pytest.mark.parametrize("key, t_max", [("time:timestamp", 0), (XES_KEY_TIME_MIN, 60 * 10**9)])
     def test_out_of_range_timestamp_names_event(self, key, t_max):
@@ -345,6 +412,40 @@ class TestNetIo:
     def test_list_document_rejected(self):
         with pytest.raises(ValidationError, match="net document is an array"):
             load_net(b"[]")
+
+    def test_malformed_json(self):
+        with pytest.raises(ValidationError, match="malformed JSON net"):
+            load_net(b'{"places": [')
+
+    @staticmethod
+    def doc() -> dict:
+        return {
+            "places": ["p1", "p2"],
+            "transitions": [{"id": "t1", "label": "a"}],
+            "arcs": [["p1", "t1"], ["t1", "p2"]],
+            "initial_marking": {"p1": 1},
+            "final_marking": {"p2": 1},
+        }
+
+    @pytest.mark.parametrize("field", ["places", "transitions", "arcs"])
+    def test_missing_field_rejected(self, field):
+        doc = self.doc()
+        del doc[field]
+        with pytest.raises(ValidationError, match=f"net document is missing field '{field}'"):
+            load_net(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("transitions", [{"id": "t1", "label": "a"}, {"id": "t1", "label": "b"}], "duplicate transition ids"),
+        ("places", ["p1", "p2", "p1"], "duplicate places"),
+        ("transitions", [{"label": "a"}], "net transition entry without an 'id'"),
+        ("final_marking", {"p2": -1}, "net field 'final_marking': marking count for 'p2' must be a nonnegative"),
+    ], ids=["duplicate-transition", "duplicate-place", "transition-without-id", "negative-count"])
+    def test_invalid_field_rejected(self, field, value, message):
+        doc = self.doc()
+        load_net(json.dumps(doc).encode())
+        doc[field] = value
+        with pytest.raises(ValidationError, match=message):
+            load_net(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("field, value, message", [
         ("arcs", [["p1", "t1", "p2"]], r"net field 'arcs': entry 0 is not a pair of strings"),

@@ -20,7 +20,7 @@ from uncertain_conform import (
     uncertainize,
 )
 from uncertain_conform.align import reachability_graph
-from uncertain_conform.synthesis import NS_PER_MINUTE, PLAYOUT_ORIGIN_NS
+from uncertain_conform.synthesis import NS_PER_MINUTE, PLAYOUT_ORIGIN_NS, generate
 
 
 def minute(i: int) -> int:
@@ -99,6 +99,23 @@ class TestPlayout:
         assert len({t.case_id for t in log}) == 5
 
 
+class TestConfigs:
+    @pytest.mark.parametrize("field", ["activity", "swap", "duplicate"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_deviation_fraction_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"deviation fraction {field} must be in"):
+            DeviationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["activity", "timestamp", "indeterminacy"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_uncertainty_fraction_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"uncertainty fraction {field} must be in"):
+            UncertaintyConfig(**{field: value})
+
+    def test_unit_interval_ends_accepted(self):
+        assert DeviationConfig(0.0, 1.0, 0.0) and UncertaintyConfig(1.0, 0.0, 1.0)
+
+
 class TestDeviate:
     def test_zero_config_is_identity(self):
         log = [timed("c0", ["a", "b", "c"])]
@@ -157,6 +174,13 @@ class TestUncertainize:
         assert len(order_realizations(trace)) > 1
         assert all(e.t_min <= e.t_max for e in trace.events)
 
+    def test_activity_uncertainty_needs_two_labels(self):
+        log = [timed("c0", ["a", "a"])]
+        with pytest.raises(ValidationError, match="activity uncertainty needs an activity universe of at least 2"):
+            uncertainize(log, UncertaintyConfig(activity=0.5), ["a", "a"], "s")
+        out = uncertainize(log, UncertaintyConfig(activity=1.0), ["a", "b"], "s")
+        assert all(e.activities == {"a", "b"} for e in out.traces[0].events)
+
     def test_indeterminacy_flag(self):
         log = [timed("c0", ["a", "b"])]
         out = uncertainize(log, UncertaintyConfig(indeterminacy=1.0), ["a", "b"], "s")
@@ -194,3 +218,19 @@ class TestPipelineIntegration:
         noisy = deviate(log, DeviationConfig(activity=0.5), universe, "pipe")
         total = sum(optimal_alignment(list(t.activities()), sn).cost for t in noisy)
         assert total > 0
+
+
+class TestGenerate:
+    def test_is_the_four_steps_on_one_seed(self):
+        deviation, uncertainty = DeviationConfig(0.2, 0.2, 0.2), UncertaintyConfig(0.3, 0.3, 0.3)
+        model, log = generate(7, 10, deviation, uncertainty, "g")
+        sn = random_block_net(7, "g")
+        universe = sorted(sn.net.labels.values())
+        steps = uncertainize(deviate(playout(sn, 10, "g"), deviation, universe, "g"), uncertainty, universe, "g")
+        assert save_net(model) == save_net(sn)
+        assert log == steps
+
+    def test_one_label_net_takes_no_activity_uncertainty(self):
+        generate(1, 3, DeviationConfig(), UncertaintyConfig(timestamp=1.0), "g")
+        with pytest.raises(ValidationError, match="activity uncertainty"):
+            generate(1, 3, DeviationConfig(), UncertaintyConfig(activity=0.1), "g")
